@@ -7,6 +7,14 @@ prediction step (marginalizing one transition, which also yields the forward
 posterior transition kernel) with a fusion step (stacking the pseudo-
 observation with the whitened real observation, QR-compressing when the
 stack grows past the state dimension).
+
+Data may carry a leading batch axis: observation values of shape (B, m)
+give y_bar and offsets of shape (B, .) and log_c of shape (B,) (or a scalar
+while no data has entered it). Everything else -- c_bar, the innovation
+factor, the gain, phi_post, cov_post and the compression QR -- depends only
+on the model and the missingness pattern, so it is computed once per step
+for all B sequences; the data lines are written in row form so that the
+same kernels serve one sequence (1-D data) and a stack.
 """
 
 from __future__ import annotations
@@ -25,16 +33,20 @@ _PSD_CLAMP_TOL = 1e-10
 
 @dataclass
 class LogQuadLikelihood:
-    """Parameters (log_c, y_bar, c_bar) of h(x) = c exp(-|y_bar - c_bar x|^2 / 2)."""
+    """Parameters (log_c, y_bar, c_bar) of h(x) = c exp(-|y_bar - c_bar x|^2 / 2).
+
+    ``y_bar`` is ``(m_bar,)`` for one sequence or ``(B, m_bar)`` for a batch
+    sharing ``c_bar``; ``log_c`` is then a scalar or broadcasts against ``(B,)``.
+    """
 
     log_c: float
     y_bar: np.ndarray
     c_bar: np.ndarray
 
     def __post_init__(self):
-        self.y_bar = np.asarray(self.y_bar, dtype=float).ravel()
+        self.y_bar = linalg.as_data(self.y_bar)
         self.c_bar = np.atleast_2d(np.asarray(self.c_bar, dtype=float))
-        if self.c_bar.shape[0] != self.y_bar.shape[0]:
+        if self.c_bar.shape[0] != self.y_bar.shape[-1]:
             raise ValueError("y_bar and c_bar row counts differ")
 
     @classmethod
@@ -44,7 +56,7 @@ class LogQuadLikelihood:
 
     @property
     def m_bar(self):
-        return self.y_bar.shape[0]
+        return self.c_bar.shape[0]
 
     @property
     def state_dim(self):
@@ -55,7 +67,12 @@ class LogQuadLikelihood:
         return self.m_bar == 0
 
     def log_value(self, x):
-        """Evaluate log h(x); x may be a vector or a (k, n) batch."""
+        """Evaluate log h(x) of a single-sequence likelihood.
+
+        ``x`` may be a vector or a (k, n) batch of states.
+        """
+        if self.y_bar.ndim != 1:
+            raise ValueError("log_value needs a single-sequence likelihood")
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             r = self.y_bar - self.c_bar @ x
@@ -75,7 +92,7 @@ class PosteriorTransition:
 
     def __post_init__(self):
         self.phi_post = np.asarray(self.phi_post, dtype=float)
-        self.offset_post = np.asarray(self.offset_post, dtype=float).ravel()
+        self.offset_post = linalg.as_data(self.offset_post)
         self.cov_post = np.asarray(self.cov_post, dtype=float)
         if self.cov_post_chol is not None:
             self.cov_post_chol = np.asarray(self.cov_post_chol, dtype=float)
@@ -91,7 +108,7 @@ class DegenerateGaussian:
     support_basis: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).ravel()
+        self.mean = linalg.as_data(self.mean)
         self.cov = np.asarray(self.cov, dtype=float)
         self.support_basis = np.asarray(self.support_basis, dtype=float)
 
@@ -122,15 +139,10 @@ def terminal_init(obs):
     sensor = obs.model
     m = sensor.obs_dim
     l = sensor.noise_chol
-    y_bar = linalg.solve_triangular(l, obs.value)
+    y_bar = linalg.solve_triangular(l, obs.value.T).T
     c_bar = linalg.solve_triangular(l, sensor.c)
     log_c = -0.5 * m * LOG_2PI - float(np.sum(np.log(np.diag(l))))
     return LogQuadLikelihood(log_c, y_bar, c_bar)
-
-
-def terminal_init_missing(state_dim):
-    """Unit likelihood for a time step without a sensor."""
-    return LogQuadLikelihood.empty(state_dim)
 
 
 def _clamp_psd(q):
@@ -177,7 +189,7 @@ def predict_backward(lik, trans):
         ) from exc
 
     resid = y_bar - c_bar @ u
-    y_new = linalg.solve_triangular(l_hat, resid)
+    y_new = linalg.solve_triangular(l_hat, resid.T).T
     c_new = linalg.solve_triangular(l_hat, c_bar @ phi)
     log_c_new = lik.log_c - float(np.sum(np.log(np.diag(l_hat))))
 
@@ -186,7 +198,7 @@ def predict_backward(lik, trans):
         l_hat, linalg.solve_triangular(l_hat, cq), trans=True
     ).T
     phi_post = (np.eye(lik.state_dim) - gain @ c_bar) @ phi
-    u_post = u + gain @ resid
+    u_post = u + resid @ gain.T
     q_post = _clamp_psd(q - gain @ r_hat @ gain.T)
 
     lik_prev = LogQuadLikelihood(log_c_new, y_new, c_new)
@@ -210,17 +222,17 @@ def fuse_observation(lik_prev, obs_lik):
         return lik_prev
 
     n = lik_prev.state_dim
-    y_hat = np.concatenate([lik_prev.y_bar, obs_lik.y_bar])
+    y_hat = np.concatenate([lik_prev.y_bar, obs_lik.y_bar], axis=-1)
     c_hat = np.vstack([lik_prev.c_bar, obs_lik.c_bar])
     log_c = lik_prev.log_c + obs_lik.log_c
-    if y_hat.shape[0] <= n:
+    if c_hat.shape[0] <= n:
         return LogQuadLikelihood(log_c, y_hat, c_hat)
 
     v, u = linalg.qr_upper(c_hat, complete=True)
     c_new = u[:n, :]
-    y_new = v[:, :n].T @ y_hat
-    e = v[:, n:].T @ y_hat
-    return LogQuadLikelihood(log_c - 0.5 * float(e @ e), y_new, c_new)
+    y_new = y_hat @ v[:, :n]
+    e = y_hat @ v[:, n:]
+    return LogQuadLikelihood(log_c - 0.5 * (e * e).sum(axis=-1), y_new, c_new)
 
 
 def backward_pass(model, predict=predict_backward):
@@ -251,7 +263,7 @@ def backward_pass(model, predict=predict_backward):
 
 def to_information(lik):
     """Information-form parameters (xi, lambda) of the likelihood."""
-    xi = lik.c_bar.T @ lik.y_bar
+    xi = lik.y_bar @ lik.c_bar
     lam = lik.c_bar.T @ lik.c_bar
     return xi, 0.5 * (lam + lam.T)
 
@@ -267,7 +279,7 @@ def likelihood_moments(lik, rtol=linalg.DEFAULT_RANK_RTOL):
     if lik.is_empty:
         return DegenerateGaussian(np.zeros(n), np.zeros((n, n)), 0, np.zeros((n, 0)))
     c_pinv, rank = linalg.pseudo_inverse(lik.c_bar, rtol)
-    mean = c_pinv @ lik.y_bar
+    mean = lik.y_bar @ c_pinv.T
     cov = c_pinv @ c_pinv.T
     cov = 0.5 * (cov + cov.T)
     if rank == 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines, forward
-from .backward import backward_pass, likelihood_moments
+from .backward import LogQuadLikelihood, backward_pass, likelihood_moments
 from .model import (
     Proper,
     attach_observations,
@@ -39,16 +39,35 @@ class DemoConfig:
     replications: int = 1
 
 
-def _position_stats(marginal):
-    mean = np.array([marginal.mean[0], marginal.mean[3]])
-    var = np.array([max(marginal.cov[0, 0], 0.0), max(marginal.cov[3, 3], 0.0)])
-    return mean, 2.0 * np.sqrt(var)
+POSITION = [0, 3]  # p1 and p2 in the tracking state (p1, v1, a1, p2, v2, a2)
 
 
-def run_demo_single(config, seed):
-    """One replication: simulate, smooth with a flat prior, per-time MLE.
+def _cell(value):
+    """CSV text of a number: the shortest round-tripping Python float repr."""
+    return repr(float(value))
 
-    Returns a dict with per-time arrays and summary error metrics.
+
+def _position_stats(estimates):
+    """Position means ``(B, T+1, 2)`` and two-sigma half-widths of per-t estimates.
+
+    The covariances are shared by the batch, so the widths are computed once
+    and broadcast over it.
+    """
+    mean = np.stack([est.mean[..., POSITION] for est in estimates], axis=-2)
+    var = np.array([np.diag(est.cov)[POSITION] for est in estimates])
+    width = 2.0 * np.sqrt(np.maximum(var, 0.0))
+    return mean, np.broadcast_to(width, mean.shape)
+
+
+def run_demo_batch(config, seeds):
+    """Replications with the given seeds: simulate each, then estimate all at once.
+
+    Every replication is simulated on its own with ``simulate(sim_model,
+    seed)``. The observation values are stacked into ``(B, 2)`` arrays, so one
+    backward pass, one forward sweep and one stacked MLE per t serve all B
+    sequences. Returns a dict of arrays with a leading replication axis: per-t
+    truth, estimates and two-sigma half-widths, and per-replication RMSEs and
+    coverage; ``observations`` is the per-t list of ``(B, 2)`` stacks or None.
     """
     big_t = config.horizon
     inference_model = wiener_acceleration_model(
@@ -60,43 +79,48 @@ def run_demo_single(config, seed):
     )
     ref = np.asarray(config.reference_initial_state, dtype=float)
     sim_model = replace(inference_model, initial=Proper(ref, np.zeros((6, 6))))
-    states, ys = simulate(sim_model, seed)
+    runs = [simulate(sim_model, seed) for seed in seeds]
+    truth = np.array([np.array(states)[:, POSITION] for states, _ in runs])
+    ys = [
+        None if y is None else np.array([obs[t] for _, obs in runs])
+        for t, y in enumerate(runs[0][1])
+    ]
     inference_model = attach_observations(inference_model, ys)
-
-    truth = np.array([[x[0], x[3]] for x in states])  # (T+1, 2)
-    want_smooth = config.estimator in ("smoother", "both")
-    want_mle = config.estimator in ("mle", "both")
 
     backward = backward_pass(inference_model)
     out = {"truth": truth, "observations": ys}
-
-    if want_smooth:
+    if config.estimator in ("smoother", "both"):
         result = forward.smooth(inference_model, backward=backward)
-        means, widths = zip(*(_position_stats(m) for m in result.marginals))
-        out["smooth_mean"] = np.array(means)
-        out["smooth_width"] = np.array(widths)
-    if want_mle:
-        means, widths = [], []
-        for t in range(big_t + 1):
-            est = baselines.stacked_mle(inference_model, t, backward=backward)
-            means.append(np.array([est.mean[0], est.mean[3]]))
-            widths.append(
-                2.0 * np.sqrt(np.array([max(est.cov[0, 0], 0.0), max(est.cov[3, 3], 0.0)]))
-            )
-        out["mle_mean"] = np.array(means)
-        out["mle_width"] = np.array(widths)
+        out["smooth_mean"], out["smooth_width"] = _position_stats(result.marginals)
+    if config.estimator in ("mle", "both"):
+        estimates = [
+            baselines.stacked_mle(inference_model, t, backward=backward)
+            for t in range(big_t + 1)
+        ]
+        out["mle_mean"], out["mle_width"] = _position_stats(estimates)
 
     prefix = slice(0, config.first_obs_index)  # t = 0..k0-1
     for key in ("smooth", "mle"):
         if f"{key}_mean" not in out:
             continue
         err = out[f"{key}_mean"] - truth
-        out[f"{key}_rmse_prefix"] = float(np.sqrt(np.mean(err[prefix] ** 2)))
-        out[f"{key}_rmse_overall"] = float(np.sqrt(np.mean(err**2)))
-    if want_smooth:
+        out[f"{key}_rmse_prefix"] = np.sqrt(np.mean(err[:, prefix] ** 2, axis=(1, 2)))
+        out[f"{key}_rmse_overall"] = np.sqrt(np.mean(err**2, axis=(1, 2)))
+    if "smooth_mean" in out:
         inside = np.abs(truth - out["smooth_mean"]) <= out["smooth_width"]
-        out["coverage"] = float(np.mean(inside))
+        out["coverage"] = np.mean(inside, axis=(1, 2))
     return out
+
+
+def run_demo_single(config, seed):
+    """One replication: the batch of one, with the batch axis taken off.
+
+    Returns a dict with per-time arrays and summary error metrics.
+    """
+    out = run_demo_batch(config, [seed])
+    rep = {key: value[0] for key, value in out.items() if key != "observations"}
+    rep["observations"] = [None if y is None else y[0] for y in out["observations"]]
+    return rep
 
 
 def _write_detail_csv(path, config, rep):
@@ -120,79 +144,67 @@ def _write_detail_csv(path, config, rep):
         writer = csv.writer(fh)
         writer.writerow(header)
         for t in range(big_t + 1):
-            row = [t, repr(rep["truth"][t, 0]), repr(rep["truth"][t, 1])]
+            row = [t, _cell(rep["truth"][t, 0]), _cell(rep["truth"][t, 1])]
             y = rep["observations"][t - 1] if t >= 1 else None
-            row += ["", ""] if y is None else [repr(y[0]), repr(y[1])]
+            row += ["", ""] if y is None else [_cell(y[0]), _cell(y[1])]
             for key in ("smooth", "mle"):
                 if f"{key}_mean" in rep:
                     row += [
-                        repr(rep[f"{key}_mean"][t, 0]),
-                        repr(rep[f"{key}_mean"][t, 1]),
-                        repr(rep[f"{key}_width"][t, 0]),
-                        repr(rep[f"{key}_width"][t, 1]),
+                        _cell(rep[f"{key}_mean"][t, 0]),
+                        _cell(rep[f"{key}_mean"][t, 1]),
+                        _cell(rep[f"{key}_width"][t, 0]),
+                        _cell(rep[f"{key}_width"][t, 1]),
                     ]
                 else:
                     row += ["", "", "", ""]
             writer.writerow(row)
 
 
+SUMMARY_COLUMNS = (
+    "smooth_rmse_prefix",
+    "mle_rmse_prefix",
+    "smooth_rmse_overall",
+    "mle_rmse_overall",
+    "coverage",
+)
+
+
 def run_demo(config):
     """Run the tracking demo and write result files.
 
     One replication writes the per-time detail CSV; several replications
-    write a per-replication summary CSV instead. Returns a summary dict.
+    write a per-replication summary CSV instead. All replications go through
+    one batched estimation (:func:`run_demo_batch`). Returns a summary dict.
     """
     if config.estimator not in ("smoother", "mle", "both"):
         raise ValueError(f"unknown estimator {config.estimator!r}")
     if config.replications < 1:
         raise ValueError("replications must be at least 1")
 
-    reps = []
-    for i in range(config.replications):
-        reps.append(run_demo_single(config, config.seed + i))
-
     summary = {"replications": config.replications, "output": config.output_path}
     if config.replications == 1:
-        _write_detail_csv(config.output_path, config, reps[0])
-        for key in ("smooth", "mle"):
-            if f"{key}_rmse_prefix" in reps[0]:
-                summary[f"{key}_rmse_prefix"] = reps[0][f"{key}_rmse_prefix"]
-                summary[f"{key}_rmse_overall"] = reps[0][f"{key}_rmse_overall"]
-        if "coverage" in reps[0]:
-            summary["coverage"] = reps[0]["coverage"]
-    else:
-        with open(config.output_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+        rep = run_demo_single(config, config.seed)
+        _write_detail_csv(config.output_path, config, rep)
+        for key in SUMMARY_COLUMNS:
+            if key in rep:
+                summary[key] = float(rep[key])
+        return summary
+
+    seeds = range(config.seed, config.seed + config.replications)
+    out = run_demo_batch(config, seeds)
+    with open(config.output_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("seed",) + SUMMARY_COLUMNS)
+        for i, seed in enumerate(seeds):
             writer.writerow(
-                [
-                    "seed",
-                    "smooth_rmse_prefix",
-                    "mle_rmse_prefix",
-                    "smooth_rmse_overall",
-                    "mle_rmse_overall",
-                    "coverage",
-                ]
+                [seed]
+                + [_cell(out[key][i]) if key in out else "" for key in SUMMARY_COLUMNS]
             )
-            for i, rep in enumerate(reps):
-                writer.writerow(
-                    [
-                        config.seed + i,
-                        repr(rep.get("smooth_rmse_prefix", "")),
-                        repr(rep.get("mle_rmse_prefix", "")),
-                        repr(rep.get("smooth_rmse_overall", "")),
-                        repr(rep.get("mle_rmse_overall", "")),
-                        repr(rep.get("coverage", "")),
-                    ]
-                )
-        if config.estimator == "both":
-            wins = [
-                rep["smooth_rmse_prefix"] <= rep["mle_rmse_prefix"] for rep in reps
-            ]
-            summary["smoother_beats_mle_fraction"] = float(np.mean(wins))
-        if config.estimator in ("smoother", "both"):
-            summary["mean_coverage"] = float(
-                np.mean([rep["coverage"] for rep in reps])
-            )
+    if config.estimator == "both":
+        wins = out["smooth_rmse_prefix"] <= out["mle_rmse_prefix"]
+        summary["smoother_beats_mle_fraction"] = float(np.mean(wins))
+    if "coverage" in out:
+        summary["mean_coverage"] = float(np.mean(out["coverage"]))
     return summary
 
 
@@ -204,8 +216,8 @@ def _marginal_rows(marginals):
     for t, marg in enumerate(marginals):
         rows.append(
             [t]
-            + [repr(v) for v in marg.mean]
-            + [repr(v) for v in np.diag(marg.cov)]
+            + [_cell(v) for v in marg.mean]
+            + [_cell(v) for v in np.diag(marg.cov)]
         )
     return rows
 
@@ -247,8 +259,6 @@ def run_model_file(path, pipeline, output_prefix):
     elif pipeline == "two-filter":
         kal = baselines.kalman_filter(mdl)
         backward = backward_pass(mdl)
-        from .backward import LogQuadLikelihood
-
         marginals = []
         for t in range(mdl.horizon + 1):
             future = (
@@ -270,8 +280,8 @@ def run_model_file(path, pipeline, output_prefix):
             )
             est = likelihood_moments(lik)
             rows.append(
-                [t, lik.m_bar, repr(lik.log_c), est.rank]
-                + [repr(v) for v in est.mean]
+                [t, lik.m_bar, _cell(lik.log_c), est.rank]
+                + [_cell(v) for v in est.mean]
             )
     else:  # evidence
         backward = backward_pass(mdl)

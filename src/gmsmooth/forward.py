@@ -32,7 +32,7 @@ class GaussianMarginal:
     cov_chol: np.ndarray | None = None
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).ravel()
+        self.mean = linalg.as_data(self.mean)
         self.cov = np.asarray(self.cov, dtype=float)
         if self.cov_chol is not None:
             self.cov_chol = np.asarray(self.cov_chol, dtype=float)
@@ -66,18 +66,18 @@ def fuse_initial(lik0, initial, rtol=linalg.DEFAULT_RANK_RTOL):
         s0 = 0.5 * (s0 + s0.T)
         l0 = linalg.chol_lower(s0)
         resid = y_bar - c_bar @ initial.mean
-        white = linalg.solve_triangular(l0, resid)
+        white = linalg.solve_triangular(l0, resid.T).T
         gain = linalg.solve_triangular(
             l0, linalg.solve_triangular(l0, c_bar @ initial.cov), trans=True
         ).T
-        mean = initial.mean + gain @ resid
+        mean = initial.mean + resid @ gain.T
         cov = initial.cov - gain @ s0 @ gain.T
         cov = 0.5 * (cov + cov.T)
         # log N(y_bar; c_bar mu0, S0) plus the (2pi)^{m_bar/2} carried by h
         log_l = (
             lik0.log_c
             - float(np.sum(np.log(np.diag(l0))))
-            - 0.5 * float(white @ white)
+            - 0.5 * (white * white).sum(axis=-1)
         )
         return GaussianMarginal(mean, cov), log_l
 
@@ -107,7 +107,7 @@ def propagate_marginals(
     marginals = [first]
     for trans in transitions:
         prev = marginals[-1]
-        mean = trans.phi_post @ prev.mean + trans.offset_post
+        mean = prev.mean @ trans.phi_post.T + trans.offset_post
         cov = trans.phi_post @ prev.cov @ trans.phi_post.T + trans.cov_post
         marginals.append(GaussianMarginal(mean, 0.5 * (cov + cov.T)))
     return SmoothingResult(
@@ -124,7 +124,9 @@ def smooth(model, rtol=linalg.DEFAULT_RANK_RTOL, backward=None):
 
     ``backward`` may supply a precomputed :class:`BackwardPassResult` (for
     example from the square-root pass); otherwise the plain backward pass is
-    run.
+    run. With ``(B, m)`` observation values the marginal means (and a
+    flat-on-support or proper log marginal likelihood) gain a leading batch
+    axis, while the covariances are shared by the whole batch.
     """
     if backward is None:
         backward = backward_pass(model)
@@ -153,7 +155,12 @@ def _degenerate_logpdf(x, mean, cov, rtol=linalg.DEFAULT_RANK_RTOL, leak_tol=1e-
 
 
 def log_path_posterior(result, path, model=None, rtol=linalg.DEFAULT_RANK_RTOL):
-    """Log-density of a state path under the forward Markov path posterior."""
+    """Log-density of a state path under the forward Markov path posterior.
+
+    ``result`` must come from a single sequence, not a batch.
+    """
+    if result.marginals[0].mean.ndim != 1:
+        raise ValueError("log_path_posterior needs a single-sequence result")
     if len(path) != len(result.transitions) + 1:
         raise ValueError("path must have one state per time index 0..T")
     path = [np.asarray(x, dtype=float).ravel() for x in path]

@@ -23,6 +23,16 @@ class FactorizationError(ValueError):
     """A matrix factorization failed (non-PD pivot, zero diagonal, ...)."""
 
 
+def as_data(x):
+    """Float array of one data vector ``(k,)`` or a batch of them ``(B, k)``.
+
+    Inputs with fewer than two axes are raveled to a vector, so scalars and
+    lists keep their single-sequence meaning; a leading batch axis is kept.
+    """
+    x = np.asarray(x, dtype=float)
+    return x.ravel() if x.ndim < 2 else x
+
+
 def _as_matrix(a, name="matrix"):
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:

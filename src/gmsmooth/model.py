@@ -6,6 +6,10 @@ v ~ N(0, R), with R positive definite. Observations may be structurally
 missing (no sensor at t: record.model is None) or simply not yet attached
 (record.value is None). The initial state is either a proper Gaussian or a
 flat improper prior.
+
+Observation values are ``(m,)`` vectors for one sequence, or ``(B, m)``
+stacks of B sequences that share the model and the missingness pattern;
+the smoother then runs all B through one structure pass.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ class ObservationModel:
 
 @dataclass
 class ObservationRecord:
-    """Observation slot at time t; model None means no sensor at t."""
+    """Observation slot at time t; model None means no sensor at t.
+
+    ``value`` is an ``(m,)`` vector or a ``(B, m)`` batch of them.
+    """
 
     time_index: int
     model: ObservationModel | None = None
@@ -76,7 +83,7 @@ class ObservationRecord:
 
     def __post_init__(self):
         if self.value is not None:
-            self.value = np.asarray(self.value, dtype=float).ravel()
+            self.value = linalg.as_data(self.value)
 
     @property
     def is_missing(self):
@@ -137,6 +144,10 @@ class GaussMarkovModel:
         return self.observations[t - 1]
 
 
+def _batch_text(value):
+    return "one sequence" if value.ndim == 1 else f"a batch of {value.shape[0]}"
+
+
 def validate(model):
     """Return a list of violation messages; empty list means the model is ok."""
     violations = []
@@ -175,6 +186,7 @@ def validate(model):
                     f"transition noise factor at t={t} does not reconstruct covariance"
                 )
     n_present = 0
+    first = None  # (t, value) of the first present step
     for rec in model.observations:
         t = rec.time_index
         if rec.model is None:
@@ -197,11 +209,27 @@ def validate(model):
                 violations.append(f"observation covariance not PD at t={t}")
         if rec.value is not None:
             n_present += 1
-            if rec.value.shape != (m,):
+            value = rec.value
+            if value.ndim > 2:
                 violations.append(
-                    f"observation value at t={t} has dimension {rec.value.shape[0]}, "
+                    f"observation value at t={t} has shape {value.shape}, "
+                    f"expected ({m},) or (B, {m})"
+                )
+                continue
+            if value.shape[-1] != m:
+                violations.append(
+                    f"observation value at t={t} has dimension {value.shape[-1]}, "
                     f"expected {m}"
                 )
+            if first is None:
+                first = (t, value)
+            elif value.shape[:-1] != first[1].shape[:-1]:
+                violations.append(
+                    f"observation value at t={t} holds {_batch_text(value)}, "
+                    f"but the value at t={first[0]} holds {_batch_text(first[1])}"
+                )
+            if not np.all(np.isfinite(value)):
+                violations.append(f"observation value at t={t} is not finite")
     if isinstance(model.initial, Proper):
         init = model.initial
         if init.mean.shape != (n,):
@@ -250,7 +278,8 @@ def attach_observations(model, values):
     """Return a copy of the model with observation values filled in.
 
     ``values`` is a length-T list of vectors or None, as produced by
-    :func:`simulate`; entries at times without a sensor must be None.
+    :func:`simulate`, or of ``(B, m)`` stacks of B such sequences; entries at
+    times without a sensor must be None.
     """
     if len(values) != model.horizon:
         raise ValueError("values must have one entry per time step")
@@ -393,7 +422,11 @@ def model_from_dict(data):
         for om in raw_obs_models
     ]
 
-    values = data.get("observations", [None] * big_t)
+    # The file format holds one sequence: every value is one vector.
+    values = [
+        None if v is None else np.ravel(np.asarray(v, dtype=float))
+        for v in data.get("observations", [None] * big_t)
+    ]
     records = [
         ObservationRecord(t, sensors[t - 1], values[t - 1])
         for t in range(1, big_t + 1)

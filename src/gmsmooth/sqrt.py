@@ -12,6 +12,8 @@ steps involve no covariances at all and are shared with the plain module.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import linalg
@@ -48,13 +50,13 @@ def array_predict_backward(lik, trans):
     q_post_chol = post_array[m_bar:, m_bar:].T
 
     resid = lik.y_bar - lik.c_bar @ trans.offset
-    y_new = linalg.solve_triangular(r_hat_chol, resid)
+    y_new = linalg.solve_triangular(r_hat_chol, resid.T).T
     c_new = linalg.solve_triangular(r_hat_chol, lik.c_bar @ trans.phi)
     log_c_new = lik.log_c - float(np.sum(np.log(np.diag(r_hat_chol))))
 
     # gain_hat multiplies the already-whitened quantities (y_new, c_new)
     phi_post = trans.phi - gain_hat @ c_new
-    u_post = trans.offset + gain_hat @ y_new
+    u_post = trans.offset + y_new @ gain_hat.T
     cov_post = q_post_chol @ q_post_chol.T
 
     lik_prev = LogQuadLikelihood(log_c_new, y_new, c_new)
@@ -63,8 +65,15 @@ def array_predict_backward(lik, trans):
 
 
 def sqrt_backward_pass(model):
-    """Backward recursion with all predictions in array form."""
-    return backward_pass(model, predict=array_predict_backward)
+    """Backward recursion with all predictions in array form.
+
+    Transitions without a noise factor (for example from a JSON model file)
+    are factored once up front.
+    """
+    transitions = [trans.with_noise_chol() for trans in model.transitions]
+    return backward_pass(
+        replace(model, transitions=transitions), predict=array_predict_backward
+    )
 
 
 def sqrt_fuse_initial(lik0, prior):
@@ -94,8 +103,8 @@ def sqrt_fuse_initial(lik0, prior):
     cov_chol = post_array[m_bar:, m_bar:].T
 
     resid = lik0.y_bar - lik0.c_bar @ prior.mean
-    white = linalg.solve_triangular(s0_chol, resid)
-    mean = prior.mean + gain_hat @ white
+    white = linalg.solve_triangular(s0_chol, resid.T).T
+    mean = prior.mean + white @ gain_hat.T
     cov = cov_chol @ cov_chol.T
 
     # log L = log_c + (m_bar/2) log 2pi + log N(y_bar; c_bar mu0, S0); the
@@ -103,7 +112,7 @@ def sqrt_fuse_initial(lik0, prior):
     log_l = (
         lik0.log_c
         - float(np.sum(np.log(np.diag(s0_chol))))
-        - 0.5 * float(white @ white)
+        - 0.5 * (white * white).sum(axis=-1)
     )
     return GaussianMarginal(mean, cov, cov_chol), log_l
 
@@ -112,7 +121,7 @@ def sqrt_propagate_marginal(prev, trans_post):
     """Propagate a smoothing marginal one step forward in factored form."""
     if prev.cov_chol is None or trans_post.cov_post_chol is None:
         raise ValueError("square-root propagation requires covariance factors")
-    mean = trans_post.phi_post @ prev.mean + trans_post.offset_post
+    mean = prev.mean @ trans_post.phi_post.T + trans_post.offset_post
     stacked = np.vstack(
         [(trans_post.phi_post @ prev.cov_chol).T, trans_post.cov_post_chol.T]
     )

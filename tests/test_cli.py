@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from gmsmooth.cli import DemoConfig, main, run_demo, run_demo_single, run_model_
 from gmsmooth.forward import smooth
 from gmsmooth.model import FlatOnSupport, model_to_dict, save_model
 
+from conftest import random_model
 from test_model import scalar_random_walk
 
 
@@ -59,6 +61,17 @@ class TestDemo:
         assert 0.0 <= summary["mean_coverage"] <= 1.0
         lines = (tmp_path / "demo.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + one row per replication
+
+    def test_demo_csv_cells_are_numbers(self, tmp_path):
+        run_demo(small_config(tmp_path))
+        run_demo(small_config(tmp_path, replications=3, output_path=str(tmp_path / "s.csv")))
+        for name in ("demo.csv", "s.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            for row in rows:
+                for cell in row:
+                    if cell:  # the detail CSV leaves missing observations empty
+                        float(cell)
 
     def test_cli_entry_point(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"
@@ -123,6 +136,17 @@ class TestRunModelFile:
         assert (tmp_path / "out.csv").exists()
         assert summary["pipeline"] == pipeline
 
+    @pytest.mark.parametrize("pipeline", ["filter", "smoother", "two-filter", "backward-only"])
+    def test_every_csv_cell_is_a_number(self, tmp_path, rng, pipeline):
+        path = self.write_fixture(tmp_path, random_model(rng, n=3, missing_frac=0.3))
+        run_model_file(path, pipeline, str(tmp_path / "out"))
+        with open(tmp_path / "out.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for row in rows:
+            for cell in row:
+                float(cell)
+
     def test_flat_prior_evidence_marked_infinite(self, tmp_path):
         model = scalar_random_walk(horizon=3, values=[0.1, 0.2, 0.3])
         data = model_to_dict(model)
@@ -138,6 +162,15 @@ class TestRunModelFile:
         code = main(["run", str(path), "--output", str(tmp_path / "out")])
         assert code != 0
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_value_rejected_with_time(self, tmp_path, capsys):
+        data = model_to_dict(scalar_random_walk(horizon=3, values=[0.1, 0.2, 0.3]))
+        data["observations"][2] = [float("nan")]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", str(path), "--output", str(tmp_path / "out")])
+        assert code != 0
+        assert "observation value at t=3 is not finite" in capsys.readouterr().err
 
     def test_invalid_model_exits_nonzero(self, tmp_path, capsys):
         model = scalar_random_walk(horizon=3, values=[0.1, 0.2, 0.3])

@@ -65,6 +65,43 @@ class TestValidate:
         for _ in range(10):
             assert validate(random_model(rng)) == []
 
+    def test_non_finite_value_reported_with_time(self):
+        model = scalar_random_walk(values=[1.0, np.nan, 3.0])
+        assert validate(model) == ["observation value at t=2 is not finite"]
+
+    def test_batched_values_accepted(self, rng):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        batched = attach_observations(model, [rng.standard_normal((4, 1)) for _ in range(3)])
+        assert validate(batched) == []
+
+    def test_batch_size_mismatch_reported_with_time(self, rng):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        values = [rng.standard_normal((4, 1)), None, rng.standard_normal((5, 1))]
+        assert validate(attach_observations(model, values)) == [
+            "observation value at t=3 holds a batch of 5, but the value at t=1 holds a batch of 4"
+        ]
+
+    def test_batched_and_single_values_mixed(self, rng):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        values = [np.array([1.0]), rng.standard_normal((2, 1)), np.array([3.0])]
+        assert validate(attach_observations(model, values)) == [
+            "observation value at t=2 holds a batch of 2, but the value at t=1 holds one sequence"
+        ]
+
+    def test_batched_value_dimension_reported_with_time(self, rng):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        values = [rng.standard_normal((2, 1)), rng.standard_normal((2, 3)), None]
+        assert validate(attach_observations(model, values)) == [
+            "observation value at t=2 has dimension 3, expected 1"
+        ]
+
+    def test_value_with_too_many_axes_reported_with_time(self):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        model.observations[0] = ObservationRecord(1, model.observations[0].model, np.ones((2, 2, 1)))
+        assert validate(model) == [
+            "observation value at t=1 has shape (2, 2, 1), expected (1,) or (B, 1)"
+        ]
+
 
 class TestSimulate:
     def test_noiseless_constant(self):
@@ -221,6 +258,13 @@ class TestJsonRoundTrip:
         assert model.horizon == 3
         assert model.observation(2).value is None
         npt.assert_allclose(model.observation(3).value, [1.5])
+        assert validate(model) == []
+
+    def test_nested_value_read_as_one_sequence(self):
+        data = model_to_dict(scalar_random_walk(values=[1.0, 2.0, 3.0]))
+        data["observations"][1] = [[2.0]]
+        model = model_from_dict(data)
+        npt.assert_array_equal(model.observation(2).value, [2.0])
         assert validate(model) == []
 
     def test_unknown_initial_kind(self):

@@ -12,6 +12,8 @@ from gmsmooth.model import (
     ObservationRecord,
     Proper,
     Transition,
+    model_from_dict,
+    model_to_dict,
 )
 from gmsmooth.sqrt import (
     array_predict_backward,
@@ -190,6 +192,24 @@ class TestPlainSqrtEquivalence:
     def test_full_pass_equivalence(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, zero_q_frac=0.2, missing_frac=0.2)
+        plain = backward_pass(model)
+        via_array = sqrt_backward_pass(model)
+        for t in range(model.horizon):
+            a, b = plain.likelihood_given_prev[t], via_array.likelihood_given_prev[t]
+            npt.assert_allclose(b.y_bar, a.y_bar, atol=1e-8)
+            npt.assert_allclose(b.c_bar, a.c_bar, atol=1e-8)
+            npt.assert_allclose(b.log_c, a.log_c, atol=1e-8)
+            ta, tb = plain.transitions_post[t], via_array.transitions_post[t]
+            npt.assert_allclose(tb.phi_post, ta.phi_post, atol=1e-8)
+            npt.assert_allclose(tb.offset_post, ta.offset_post, atol=1e-8)
+            npt.assert_allclose(tb.cov_post, ta.cov_post, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_json_model_without_noise_factor(self, seed):
+        # model_from_dict leaves noise_chol unset; the sqrt pass factors it
+        rng = np.random.default_rng(seed)
+        model = model_from_dict(model_to_dict(random_model(rng, zero_q_frac=0.2)))
+        assert all(trans.noise_chol is None for trans in model.transitions)
         plain = backward_pass(model)
         via_array = sqrt_backward_pass(model)
         for t in range(model.horizon):
