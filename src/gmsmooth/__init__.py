@@ -46,7 +46,6 @@ from .model import (
 from .sqrt import (
     array_predict_backward,
     sqrt_backward_pass,
-    sqrt_fuse_initial,
     sqrt_propagate_marginal,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "simulate",
     "smooth",
     "sqrt_backward_pass",
-    "sqrt_fuse_initial",
     "sqrt_propagate_marginal",
     "terminal_init",
     "to_information",

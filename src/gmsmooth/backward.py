@@ -6,7 +6,9 @@ pseudo-observation of x with identity noise. The recursion alternates a
 prediction step (marginalizing one transition, which also yields the forward
 posterior transition kernel) with a fusion step (stacking the pseudo-
 observation with the whitened real observation, QR-compressing when the
-stack grows past the state dimension).
+stack grows past the state dimension). Folding a Gaussian into the
+likelihood in array form, as the square-root prediction and the fusion with
+a proper prior both do, is the one kernel :func:`array_update`.
 
 Data may carry a leading batch axis: observation values of shape (B, m)
 give y_bar and offsets of shape (B, .) and log_c of shape (B,) (or a scalar
@@ -129,13 +131,10 @@ class BackwardPassResult:
 
 def terminal_init(obs):
     """Whitened single-observation likelihood; the unit likelihood if missing."""
-    if obs.model is None or obs.value is None:
-        state_dim = None
-        if obs.model is not None:
-            state_dim = obs.model.c.shape[1]
-        if state_dim is None:
+    if obs.is_missing:
+        if obs.model is None:
             raise ValueError("missing observation without a sensor has no state dim")
-        return LogQuadLikelihood.empty(state_dim)
+        return LogQuadLikelihood.empty(obs.model.c.shape[1])
     sensor = obs.model
     m = sensor.obs_dim
     l = sensor.noise_chol
@@ -143,6 +142,39 @@ def terminal_init(obs):
     c_bar = linalg.solve_triangular(l, sensor.c)
     log_c = -0.5 * m * LOG_2PI - float(np.sum(np.log(np.diag(l))))
     return LogQuadLikelihood(log_c, y_bar, c_bar)
+
+
+def array_update(lik, mean, factor):
+    """Fold the Gaussian N(mean, S S') into a likelihood by one QR (S = factor).
+
+    The likelihood is a pseudo-observation y_bar = c_bar x + e with identity
+    noise, so both a backward prediction (mean and factor of the transition
+    noise) and the fusion with a proper prior are this one update. The upper
+    triangular factor of the pre-array
+
+        [ I                 0   ]
+        [ S' c_bar'         S'  ]
+
+    holds, transposed, the innovation factor L (L L' = I + c_bar S S' c_bar'),
+    the whitened gain K (K L^{-1} is the Kalman gain) and the posterior
+    factor P (P P' = S S' - K K'). Returns (L, K, P, w) with the whitened
+    residual w = L^{-1}(y_bar - c_bar mean), batched like ``y_bar``.
+    """
+    m_bar, n = lik.c_bar.shape
+    st = factor.T
+    pre = np.zeros((m_bar + n, m_bar + n))
+    pre[:m_bar, :m_bar] = np.eye(m_bar)
+    pre[m_bar:, :m_bar] = st @ lik.c_bar.T
+    pre[m_bar:, m_bar:] = st
+    _, post_array = linalg.qr_upper(pre)
+
+    innov_chol = post_array[:m_bar, :m_bar].T  # lower, positive diagonal
+    gain_hat = post_array[:m_bar, m_bar:].T  # n x m_bar
+    post_chol = post_array[m_bar:, m_bar:].T
+
+    resid = lik.y_bar - lik.c_bar @ mean
+    white = linalg.solve_triangular(innov_chol, resid.T).T
+    return innov_chol, gain_hat, post_chol, white
 
 
 def _clamp_psd(q):
@@ -249,10 +281,7 @@ def backward_pass(model, predict=predict_backward):
     lik = LogQuadLikelihood.empty(n)  # h over x_T with no data yet
     for t in range(big_t, 0, -1):
         rec = model.observation(t)
-        if rec.model is None or rec.value is None:
-            obs_lik = LogQuadLikelihood.empty(n)
-        else:
-            obs_lik = terminal_init(rec)
+        obs_lik = LogQuadLikelihood.empty(n) if rec.is_missing else terminal_init(rec)
         lik_t = fuse_observation(lik, obs_lik)
         likelihood_given_t[t - 1] = lik_t
         lik, post = predict(lik_t, model.transition(t))
@@ -278,14 +307,9 @@ def likelihood_moments(lik, rtol=linalg.DEFAULT_RANK_RTOL):
     n = lik.state_dim
     if lik.is_empty:
         return DegenerateGaussian(np.zeros(n), np.zeros((n, n)), 0, np.zeros((n, 0)))
-    c_pinv, rank = linalg.pseudo_inverse(lik.c_bar, rtol)
+    # the basis of range(cov) = row space of c_bar comes from the same SVD
+    c_pinv, rank, basis = linalg.pseudo_inverse(lik.c_bar, rtol)
     mean = lik.y_bar @ c_pinv.T
     cov = c_pinv @ c_pinv.T
     cov = 0.5 * (cov + cov.T)
-    if rank == 0:
-        basis = np.zeros((n, 0))
-    else:
-        # orthonormal basis of range(cov) = row space of c_bar
-        _, s, vt = np.linalg.svd(lik.c_bar, full_matrices=False)
-        basis = vt[:rank, :].T
     return DegenerateGaussian(mean, cov, rank, basis)

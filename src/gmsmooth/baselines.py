@@ -183,7 +183,7 @@ def rts_smoother(kalman, model, rtol=linalg.DEFAULT_RANK_RTOL):
         tr = model.transition(t)
         filt = kalman.filtered[t - 1]
         pred = kalman.predicted[t - 1]
-        pred_pinv, _ = linalg.pseudo_inverse(pred.cov, rtol)
+        pred_pinv, _, _ = linalg.pseudo_inverse(pred.cov, rtol)
         gain = filt.cov @ tr.phi.T @ pred_pinv
         nxt = smoothed[t]
         mean = filt.mean + gain @ (nxt.mean - pred.mean)

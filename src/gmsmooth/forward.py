@@ -3,7 +3,9 @@
 Given the backward pass output, the initial fusion combines the
 x0-likelihood with the prior (proper or flat), yielding the marginal
 likelihood, and the smoothing marginals then follow by propagating through
-the posterior transition kernels.
+the posterior transition kernels. A proper prior is fused by the same array
+update as a square-root backward prediction, so the x0 posterior comes with
+its covariance factor.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from . import linalg
 from .backward import (
     DegenerateGaussian,
+    array_update,
     backward_pass,
     likelihood_moments,
 )
@@ -52,34 +55,26 @@ class SmoothingResult:
 def fuse_initial(lik0, initial, rtol=linalg.DEFAULT_RANK_RTOL):
     """Combine the x0-likelihood with the prior by Bayes' rule.
 
-    Returns (posterior over x0, log marginal likelihood). For a flat prior
-    on the likelihood's support, the posterior is the likelihood's own
-    degenerate Gaussian and the evidence uses the pseudo-determinant. For a
-    prior flat on all of R^n the evidence is infinite.
+    Returns (posterior over x0, log marginal likelihood). A proper prior is
+    folded in by one :func:`~gmsmooth.backward.array_update` on its
+    covariance factor. For a flat prior on the likelihood's support, the
+    posterior is the likelihood's own degenerate Gaussian and the evidence
+    uses the pseudo-determinant. For a prior flat on all of R^n the evidence
+    is infinite.
     """
     if isinstance(initial, Proper):
+        prior = initial.with_chol()
         if lik0.is_empty:
-            init = initial.with_chol()
-            return GaussianMarginal(init.mean, init.cov, init.chol), 0.0
-        c_bar, y_bar = lik0.c_bar, lik0.y_bar
-        s0 = c_bar @ initial.cov @ c_bar.T + np.eye(lik0.m_bar)
-        s0 = 0.5 * (s0 + s0.T)
-        l0 = linalg.chol_lower(s0)
-        resid = y_bar - c_bar @ initial.mean
-        white = linalg.solve_triangular(l0, resid.T).T
-        gain = linalg.solve_triangular(
-            l0, linalg.solve_triangular(l0, c_bar @ initial.cov), trans=True
-        ).T
-        mean = initial.mean + resid @ gain.T
-        cov = initial.cov - gain @ s0 @ gain.T
-        cov = 0.5 * (cov + cov.T)
+            return GaussianMarginal(prior.mean, prior.cov, prior.chol), 0.0
+        s0_chol, gain_hat, cov_chol, white = array_update(lik0, prior.mean, prior.chol)
+        mean = prior.mean + white @ gain_hat.T
         # log N(y_bar; c_bar mu0, S0) plus the (2pi)^{m_bar/2} carried by h
         log_l = (
             lik0.log_c
-            - float(np.sum(np.log(np.diag(l0))))
+            - float(np.sum(np.log(np.diag(s0_chol))))
             - 0.5 * (white * white).sum(axis=-1)
         )
-        return GaussianMarginal(mean, cov), log_l
+        return GaussianMarginal(mean, cov_chol @ cov_chol.T, cov_chol), log_l
 
     moments = likelihood_moments(lik0, rtol)
     if isinstance(initial, FlatOnSupport):
@@ -143,7 +138,7 @@ def _degenerate_logpdf(x, mean, cov, rtol=linalg.DEFAULT_RANK_RTOL, leak_tol=1e-
     """Log-density of a possibly singular Gaussian on its affine support."""
     x = np.asarray(x, dtype=float).ravel()
     d = x - mean
-    cov_pinv, rank = linalg.pseudo_inverse(cov, rtol)
+    cov_pinv, rank, _ = linalg.pseudo_inverse(cov, rtol)
     if rank < cov.shape[0]:
         leak = d - cov @ (cov_pinv @ d)
         if np.linalg.norm(leak) > leak_tol * (1.0 + np.linalg.norm(d)):

@@ -108,15 +108,19 @@ def psd_chol(s, rtol=DEFAULT_RANK_RTOL):
 
 
 def pseudo_inverse(a, rtol=DEFAULT_RANK_RTOL):
-    """Moore-Penrose pseudo-inverse and numerical rank via SVD."""
+    """Moore-Penrose pseudo-inverse, numerical rank and row-space basis via SVD.
+
+    Returns (A^+, rank, V) where the ``rank`` orthonormal columns of V are
+    the right singular vectors kept, spanning the row space of A.
+    """
     a = _as_matrix(a, "A")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0])), 0
+        return np.zeros((a.shape[1], a.shape[0])), 0, np.zeros((a.shape[1], 0))
     rank = int(np.sum(s > rtol * s[0]))
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
-    return (vt.T * inv[None, :]) @ u.T, rank
+    return (vt.T * inv[None, :]) @ u.T, rank, vt[:rank, :].T
 
 
 def pseudo_logdet(s, rtol=DEFAULT_RANK_RTOL):

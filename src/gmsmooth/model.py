@@ -59,8 +59,9 @@ class ObservationModel:
         if self.noise_chol is None:
             try:
                 self.noise_chol = linalg.chol_lower(self.noise_cov)
-            except linalg.FactorizationError:
-                # left unset; validate() reports the non-PD covariance
+            except ValueError:
+                # left unset; validate() reports the non-PD or non-finite
+                # covariance
                 self.noise_chol = None
         else:
             self.noise_chol = np.asarray(self.noise_chol, dtype=float)
@@ -148,8 +149,20 @@ def _batch_text(value):
     return "one sequence" if value.ndim == 1 else f"a batch of {value.shape[0]}"
 
 
+def _finite(a, name, violations):
+    """True if ``a`` is unset or finite; otherwise record that it is not."""
+    if a is None or np.isfinite(a).all():
+        return True
+    violations.append(f"{name} is not finite")
+    return False
+
+
 def validate(model):
-    """Return a list of violation messages; empty list means the model is ok."""
+    """Return a list of violation messages; empty list means the model is ok.
+
+    Every model array is checked for finiteness, by name and time index,
+    before any check that factors it; a non-finite covariance skips those.
+    """
     violations = []
     n, big_t = model.state_dim, model.horizon
     if len(model.transitions) != big_t:
@@ -161,6 +174,12 @@ def validate(model):
             f"expected {big_t} observation records, got {len(model.observations)}"
         )
     for t, trans in enumerate(model.transitions, start=1):
+        at = f" at t={t}"
+        _finite(trans.phi, "transition matrix" + at, violations)
+        _finite(trans.offset, "transition offset" + at, violations)
+        cov_ok = _finite(
+            trans.noise_cov, "transition noise covariance" + at, violations
+        ) & _finite(trans.noise_chol, "transition noise factor" + at, violations)
         if trans.phi.shape != (n, n):
             violations.append(f"transition matrix at t={t} has shape {trans.phi.shape}")
         if trans.offset.shape != (n,):
@@ -169,7 +188,7 @@ def validate(model):
             violations.append(
                 f"transition noise covariance at t={t} has shape {trans.noise_cov.shape}"
             )
-        else:
+        elif cov_ok:
             sym_err = np.max(np.abs(trans.noise_cov - trans.noise_cov.T), initial=0.0)
             if sym_err > 1e-10 * max(1.0, np.max(np.abs(trans.noise_cov))):
                 violations.append(f"transition noise covariance at t={t} not symmetric")
@@ -177,14 +196,14 @@ def validate(model):
                 w = np.linalg.eigvalsh(trans.noise_cov)
                 if w.min(initial=0.0) < -1e-10 * max(1.0, w.max(initial=0.0)):
                     violations.append(f"transition noise covariance at t={t} not PSD")
-        if trans.noise_chol is not None and trans.noise_cov.shape == (n, n):
-            rec = trans.noise_chol @ trans.noise_chol.T
-            if np.max(np.abs(rec - trans.noise_cov)) > 1e-10 * max(
-                1.0, np.max(np.abs(trans.noise_cov))
-            ):
-                violations.append(
-                    f"transition noise factor at t={t} does not reconstruct covariance"
-                )
+            if trans.noise_chol is not None:
+                rec = trans.noise_chol @ trans.noise_chol.T
+                if np.max(np.abs(rec - trans.noise_cov)) > 1e-10 * max(
+                    1.0, np.max(np.abs(trans.noise_cov))
+                ):
+                    violations.append(
+                        f"transition noise factor at t={t} does not reconstruct covariance"
+                    )
     n_present = 0
     first = None  # (t, value) of the first present step
     for rec in model.observations:
@@ -195,6 +214,11 @@ def validate(model):
             continue
         obs = rec.model
         m = obs.c.shape[0]
+        at = f" at t={t}"
+        _finite(obs.c, "observation matrix" + at, violations)
+        cov_ok = _finite(
+            obs.noise_cov, "observation covariance" + at, violations
+        ) & _finite(obs.noise_chol, "observation noise factor" + at, violations)
         if obs.c.ndim != 2 or obs.c.shape[1] != n:
             violations.append(f"observation matrix at t={t} has shape {obs.c.shape}")
         if m > n:
@@ -203,7 +227,7 @@ def validate(model):
             violations.append(
                 f"observation covariance at t={t} has shape {obs.noise_cov.shape}"
             )
-        else:
+        elif cov_ok:
             w = np.linalg.eigvalsh(0.5 * (obs.noise_cov + obs.noise_cov.T))
             if w.size == 0 or w.min() <= 0.0:
                 violations.append(f"observation covariance not PD at t={t}")
@@ -228,15 +252,18 @@ def validate(model):
                     f"observation value at t={t} holds {_batch_text(value)}, "
                     f"but the value at t={first[0]} holds {_batch_text(first[1])}"
                 )
-            if not np.all(np.isfinite(value)):
-                violations.append(f"observation value at t={t} is not finite")
+            _finite(value, "observation value" + at, violations)
     if isinstance(model.initial, Proper):
         init = model.initial
+        _finite(init.mean, "initial mean", violations)
+        cov_ok = _finite(init.cov, "initial covariance", violations) & _finite(
+            init.chol, "initial covariance factor", violations
+        )
         if init.mean.shape != (n,):
             violations.append(f"initial mean has shape {init.mean.shape}")
         if init.cov.shape != (n, n):
             violations.append(f"initial covariance has shape {init.cov.shape}")
-        else:
+        elif cov_ok:
             w = np.linalg.eigvalsh(0.5 * (init.cov + init.cov.T))
             if w.min(initial=0.0) < -1e-10 * max(1.0, w.max(initial=0.0)):
                 violations.append("initial covariance not PSD")

@@ -1,13 +1,12 @@
 """Square-root (array) variant of the backward recursion.
 
-Covariances are never formed: each prediction step QR-factors the pre-array
-
-    [ I                    0      ]
-    [ Q^{T/2} c_bar^T   Q^{T/2}  ]
-
-whose upper triangular factor holds the transposed factors of the innovation
-covariance, the whitened gain, and the posterior transition noise. Fusion
-steps involve no covariances at all and are shared with the plain module.
+Covariances are never formed: each prediction step is one
+:func:`~gmsmooth.backward.array_update` of the likelihood by the transition
+noise factor, whose QR-factored pre-array yields triangular factors of the
+innovation covariance and of the posterior transition noise together with
+the whitened gain. Fusion steps involve no covariances at all and are shared
+with the plain module; the fusion with a proper prior uses the same kernel
+(see :func:`~gmsmooth.forward.fuse_initial`).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from . import linalg
 from .backward import (
     LogQuadLikelihood,
     PosteriorTransition,
+    array_update,
     backward_pass,
 )
 from .forward import GaussianMarginal
@@ -35,22 +35,9 @@ def array_predict_backward(lik, trans):
         )
         return LogQuadLikelihood.empty(lik.state_dim), post
 
-    n = lik.state_dim
-    m_bar = lik.m_bar
-    qt = trans.noise_chol.T  # Q^{T/2}
-
-    pre = np.zeros((m_bar + n, m_bar + n))
-    pre[:m_bar, :m_bar] = np.eye(m_bar)
-    pre[m_bar:, :m_bar] = qt @ lik.c_bar.T
-    pre[m_bar:, m_bar:] = qt
-    _, post_array = linalg.qr_upper(pre)
-
-    r_hat_chol = post_array[:m_bar, :m_bar].T  # lower, positive diagonal
-    gain_hat = post_array[:m_bar, m_bar:].T  # n x m_bar
-    q_post_chol = post_array[m_bar:, m_bar:].T
-
-    resid = lik.y_bar - lik.c_bar @ trans.offset
-    y_new = linalg.solve_triangular(r_hat_chol, resid.T).T
+    r_hat_chol, gain_hat, q_post_chol, y_new = array_update(
+        lik, trans.offset, trans.noise_chol
+    )
     c_new = linalg.solve_triangular(r_hat_chol, lik.c_bar @ trans.phi)
     log_c_new = lik.log_c - float(np.sum(np.log(np.diag(r_hat_chol))))
 
@@ -74,47 +61,6 @@ def sqrt_backward_pass(model):
     return backward_pass(
         replace(model, transitions=transitions), predict=array_predict_backward
     )
-
-
-def sqrt_fuse_initial(lik0, prior):
-    """Fuse the x0-likelihood with a proper prior using the array identity.
-
-    Returns the posterior over x0 (with covariance factor) and the log
-    marginal likelihood of all observations.
-    """
-    prior = prior.with_chol()
-    n = prior.mean.shape[0]
-    if lik0.is_empty:
-        return (
-            GaussianMarginal(prior.mean, prior.cov, prior.chol),
-            0.0,
-        )
-    m_bar = lik0.m_bar
-    st = prior.chol.T
-
-    pre = np.zeros((m_bar + n, m_bar + n))
-    pre[:m_bar, :m_bar] = np.eye(m_bar)
-    pre[m_bar:, :m_bar] = st @ lik0.c_bar.T
-    pre[m_bar:, m_bar:] = st
-    _, post_array = linalg.qr_upper(pre)
-
-    s0_chol = post_array[:m_bar, :m_bar].T
-    gain_hat = post_array[:m_bar, m_bar:].T
-    cov_chol = post_array[m_bar:, m_bar:].T
-
-    resid = lik0.y_bar - lik0.c_bar @ prior.mean
-    white = linalg.solve_triangular(s0_chol, resid.T).T
-    mean = prior.mean + white @ gain_hat.T
-    cov = cov_chol @ cov_chol.T
-
-    # log L = log_c + (m_bar/2) log 2pi + log N(y_bar; c_bar mu0, S0); the
-    # 2pi terms cancel against the Gaussian normalizer.
-    log_l = (
-        lik0.log_c
-        - float(np.sum(np.log(np.diag(s0_chol))))
-        - 0.5 * (white * white).sum(axis=-1)
-    )
-    return GaussianMarginal(mean, cov, cov_chol), log_l
 
 
 def sqrt_propagate_marginal(prev, trans_post):

@@ -4,6 +4,7 @@ import pytest
 
 from gmsmooth.backward import (
     LogQuadLikelihood,
+    array_update,
     backward_pass,
     fuse_observation,
     likelihood_moments,
@@ -43,6 +44,31 @@ class TestTerminalInit:
         assert lik.is_empty
         assert lik.log_c == 0.0
         assert lik.state_dim == 2
+
+    def test_missing_without_sensor_raises(self):
+        with pytest.raises(ValueError, match="no state dim"):
+            terminal_init(ObservationRecord(1))
+
+
+class TestArrayUpdate:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_factors_and_batched_residual(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        m_bar = int(rng.integers(1, n + 1))
+        lik = LogQuadLikelihood(
+            0.0, rng.standard_normal((3, m_bar)), rng.standard_normal((m_bar, n))
+        )
+        mean = rng.standard_normal(n)
+        factor = np.tril(rng.standard_normal((n, n)))
+        l, k, p, white = array_update(lik, mean, factor)
+        cov = factor @ factor.T
+        c = lik.c_bar
+        npt.assert_allclose(l @ l.T, np.eye(m_bar) + c @ cov @ c.T, atol=1e-10)
+        npt.assert_allclose(k @ l.T, cov @ c.T, atol=1e-10)
+        npt.assert_allclose(p @ p.T, cov - k @ k.T, atol=1e-10)
+        for row, y in zip(white, lik.y_bar):
+            npt.assert_allclose(l @ row, y - c @ mean, atol=1e-10)
 
 
 class TestPredictBackward:
@@ -282,6 +308,20 @@ class TestLikelihoodMoments:
         est = likelihood_moments(LogQuadLikelihood.empty(2))
         assert est.rank == 0
         npt.assert_allclose(est.mean, np.zeros(2))
+
+    def test_one_svd_per_call(self, rng, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        lik = LogQuadLikelihood(0.0, rng.standard_normal(2), rng.standard_normal((2, 4)))
+        est = likelihood_moments(lik)
+        assert len(calls) == 1
+        assert est.rank == 2 and est.support_basis.shape == (4, 2)
 
     def test_mean_in_row_space(self, rng):
         lik = LogQuadLikelihood(

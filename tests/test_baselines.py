@@ -225,9 +225,9 @@ class TestStackedMle:
             l = chol_lower(s)
             hw = solve_triangular(l, h)
             yw = solve_triangular(l, y - b)
-            h_pinv, rank = pseudo_inverse(hw)
+            h_pinv, rank, _ = pseudo_inverse(hw)
             expected_mean = h_pinv @ yw
-            expected_cov, _ = pseudo_inverse(hw.T @ hw)
+            expected_cov, _, _ = pseudo_inverse(hw.T @ hw)
             assert est.rank == rank
             scale = max(1.0, np.abs(expected_mean).max())
             npt.assert_allclose(est.mean, expected_mean, atol=1e-8 * scale)

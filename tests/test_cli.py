@@ -172,6 +172,16 @@ class TestRunModelFile:
         assert code != 0
         assert "observation value at t=3 is not finite" in capsys.readouterr().err
 
+    def test_non_finite_model_file_rejected_with_time(self, tmp_path, capsys):
+        data = model_to_dict(scalar_random_walk(horizon=3, values=[0.1, 0.2, 0.3]))
+        data["transitions"][1]["phi"] = [[float("nan")]]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        code = main(["run", str(path), "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert "transition matrix at t=2 is not finite" in capsys.readouterr().err
+
     def test_invalid_model_exits_nonzero(self, tmp_path, capsys):
         model = scalar_random_walk(horizon=3, values=[0.1, 0.2, 0.3])
         data = model_to_dict(model)

@@ -69,6 +69,46 @@ class TestValidate:
         model = scalar_random_walk(values=[1.0, np.nan, 3.0])
         assert validate(model) == ["observation value at t=2 is not finite"]
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (("transitions", 1, "phi"), "transition matrix at t=2 is not finite"),
+            (("transitions", 1, "offset"), "transition offset at t=2 is not finite"),
+            (
+                ("transitions", 1, "noise_cov"),
+                "transition noise covariance at t=2 is not finite",
+            ),
+            (("observation_models", 2, "c"), "observation matrix at t=3 is not finite"),
+            (
+                ("observation_models", 2, "noise_cov"),
+                "observation covariance at t=3 is not finite",
+            ),
+            (("initial", "mean"), "initial mean is not finite"),
+            (("initial", "cov"), "initial covariance is not finite"),
+        ],
+    )
+    def test_non_finite_model_array_reported_by_name(self, keys, message):
+        data = model_to_dict(scalar_random_walk(values=[1.0, 2.0, 3.0]))
+        *path, last = keys
+        holder = data
+        for key in path:
+            holder = holder[key]
+        holder[last] = np.full(np.shape(holder[last]), np.nan).tolist()
+        assert validate(model_from_dict(data)) == [message]
+
+    def test_non_finite_supplied_factors_reported(self):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        model.transitions[0] = Transition([[1.0]], [0.0], [[1.0]], [[np.nan]])
+        model.observations[1] = ObservationRecord(
+            2, ObservationModel([[1.0]], [[1.0]], [[np.inf]]), [2.0]
+        )
+        model.initial = Proper([0.0], [[1.0]], [[np.nan]])
+        assert validate(model) == [
+            "transition noise factor at t=1 is not finite",
+            "observation noise factor at t=2 is not finite",
+            "initial covariance factor is not finite",
+        ]
+
     def test_batched_values_accepted(self, rng):
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         batched = attach_observations(model, [rng.standard_normal((4, 1)) for _ in range(3)])

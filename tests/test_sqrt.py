@@ -3,9 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from gmsmooth.backward import LogQuadLikelihood, backward_pass, predict_backward
-from gmsmooth.baselines import future_likelihood_oracle
+from gmsmooth.baselines import future_likelihood_oracle, two_filter_combine
 from gmsmooth.forward import GaussianMarginal, fuse_initial, smooth
-from gmsmooth.linalg import chol_lower
+from gmsmooth.linalg import LOG_2PI, chol_lower, gaussian_logpdf
 from gmsmooth.model import (
     GaussMarkovModel,
     ObservationModel,
@@ -18,7 +18,6 @@ from gmsmooth.model import (
 from gmsmooth.sqrt import (
     array_predict_backward,
     sqrt_backward_pass,
-    sqrt_fuse_initial,
     sqrt_propagate_marginal,
 )
 
@@ -102,20 +101,20 @@ class TestArrayPredictBackward:
 
 
 class TestSqrtFuseInitial:
+    """The proper branch of ``fuse_initial``: square-root fusion with the prior."""
+
     def test_scalar_marginal(self):
         lik0 = LogQuadLikelihood(-0.5 * np.log(2 * np.pi), [1.0], [[1.0]])
         prior = Proper([0.0], [[1.0]])
-        post, log_l = sqrt_fuse_initial(lik0, prior)
+        post, log_l = fuse_initial(lik0, prior)
         # y = x + v with x ~ N(0,1), v ~ N(0,1): y ~ N(0, 2)
-        from gmsmooth.linalg import gaussian_logpdf
-
         npt.assert_allclose(log_l, gaussian_logpdf([1.0], [0.0], [[2.0]]), atol=1e-12)
         npt.assert_allclose(post.mean, [0.5])
         npt.assert_allclose(post.cov, [[0.5]], atol=1e-12)
 
     def test_empty_likelihood(self):
         prior = Proper([1.0, -1.0], np.diag([2.0, 3.0]))
-        post, log_l = sqrt_fuse_initial(LogQuadLikelihood.empty(2), prior)
+        post, log_l = fuse_initial(LogQuadLikelihood.empty(2), prior)
         assert log_l == 0.0
         npt.assert_array_equal(post.mean, prior.mean)
         npt.assert_array_equal(post.cov, prior.cov)
@@ -123,7 +122,7 @@ class TestSqrtFuseInitial:
     def test_point_prior(self):
         lik0 = LogQuadLikelihood(-np.log(2 * np.pi), [1.0, 2.0], np.eye(2))
         prior = Proper([1.0, 1.0], np.zeros((2, 2)))
-        post, log_l = sqrt_fuse_initial(lik0, prior)
+        post, log_l = fuse_initial(lik0, prior)
         npt.assert_allclose(post.mean, [1.0, 1.0], atol=1e-12)
         npt.assert_allclose(post.cov, np.zeros((2, 2)), atol=1e-12)
         expected = lik0.log_c + np.log(2 * np.pi) + (
@@ -140,12 +139,23 @@ class TestSqrtFuseInitial:
             rng.standard_normal(), rng.standard_normal(m_bar), rng.standard_normal((m_bar, n))
         )
         a = rng.standard_normal((n, n))
-        prior = Proper(rng.standard_normal(n), a @ a.T).with_chol()
-        p1, l1 = fuse_initial(lik0, prior)
-        p2, l2 = sqrt_fuse_initial(lik0, prior)
-        npt.assert_allclose(l2, l1, atol=1e-9)
-        npt.assert_allclose(p2.mean, p1.mean, atol=1e-9)
-        npt.assert_allclose(p2.cov, p1.cov, atol=1e-9)
+        prior = Proper(rng.standard_normal(n), a @ a.T)
+        post, log_l = fuse_initial(lik0, prior)
+        # the covariance-form (plain) fusion: a Kalman update against the
+        # pseudo-observation, and its evidence
+        expected = two_filter_combine(GaussianMarginal(prior.mean, prior.cov), lik0)
+        c_bar = lik0.c_bar
+        evidence = (
+            gaussian_logpdf(
+                lik0.y_bar, c_bar @ prior.mean, c_bar @ prior.cov @ c_bar.T + np.eye(m_bar)
+            )
+            + lik0.log_c
+            + 0.5 * m_bar * LOG_2PI
+        )
+        npt.assert_allclose(log_l, evidence, atol=1e-9)
+        npt.assert_allclose(post.mean, expected.mean, atol=1e-9)
+        npt.assert_allclose(post.cov, expected.cov, atol=1e-9)
+        npt.assert_allclose(post.cov_chol @ post.cov_chol.T, post.cov, atol=1e-12)
 
 
 class TestSqrtPropagateMarginal:
