@@ -166,7 +166,7 @@ def array_update(lik, mean, factor):
     pre[:m_bar, :m_bar] = np.eye(m_bar)
     pre[m_bar:, :m_bar] = st @ lik.c_bar.T
     pre[m_bar:, m_bar:] = st
-    _, post_array = linalg.qr_upper(pre)
+    post_array = linalg.qr_r(pre)
 
     innov_chol = post_array[:m_bar, :m_bar].T  # lower, positive diagonal
     gain_hat = post_array[:m_bar, m_bar:].T  # n x m_bar
@@ -178,8 +178,19 @@ def array_update(lik, mean, factor):
 
 
 def _clamp_psd(q):
-    """Symmetrize and clamp tiny negative eigenvalues of a covariance."""
+    """Symmetrize a covariance and clamp tiny negative eigenvalues.
+
+    A positive definite matrix, the usual case, is recognized by one
+    Cholesky factorization and returned symmetrized; only a matrix that
+    fails it (singular, or slightly indefinite from rounding) takes the
+    eigendecomposition.
+    """
     q = 0.5 * (q + q.T)
+    try:
+        linalg.chol_lower(q)
+        return q
+    except linalg.FactorizationError:
+        pass
     w, v = np.linalg.eigh(q)
     scale = max(1.0, np.max(np.abs(w), initial=0.0))
     if w.min(initial=0.0) < -_PSD_CLAMP_TOL * scale:

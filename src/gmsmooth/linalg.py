@@ -7,6 +7,17 @@ Everything downstream relies on two conventions fixed here:
   deterministic and lets log-determinants be read off the diagonal.
 * Rank decisions are relative to the largest singular/eigenvalue, with a
   shared default threshold.
+
+Kernel contract: the hot kernels :func:`chol_lower`, :func:`solve_triangular`
+and :func:`qr_r` take finite float arrays of matching shapes and scan
+nothing. Finiteness is checked once, at the boundary: ``model.validate``
+checks every model array and the model constructors factor only finite
+covariances, and everything the recursion derives from a valid model is
+finite. ``chol_lower`` and ``solve_triangular`` call LAPACK ``potrf`` and
+``trtrs`` directly with scipy's own call pattern, so their results are
+bit-identical to ``scipy.linalg.cholesky``/``solve_triangular``, and report
+failures from LAPACK's ``info``. :func:`qr_upper` keeps its finiteness
+check, which its tests pin.
 """
 
 from __future__ import annotations
@@ -21,6 +32,9 @@ DEFAULT_RANK_RTOL = 1e-10
 
 class FactorizationError(ValueError):
     """A matrix factorization failed (non-PD pivot, zero diagonal, ...)."""
+
+
+_POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
 
 
 def as_data(x):
@@ -44,6 +58,14 @@ def _as_matrix(a, name="matrix"):
     return a
 
 
+def _fix_signs(u):
+    """Flip rows of U in place to make its diagonal non-negative; return the signs."""
+    k = min(u.shape)
+    signs = np.where(np.diag(u)[:k] < 0.0, -1.0, 1.0)
+    u[:k, :] *= signs[:, None]
+    return signs
+
+
 def qr_upper(a, complete=False):
     """QR factorization A = Q U with a deterministic sign convention.
 
@@ -53,37 +75,44 @@ def qr_upper(a, complete=False):
     """
     a = _as_matrix(a, "A")
     q, u = np.linalg.qr(a, mode="complete" if complete else "reduced")
-    k = min(a.shape)
-    signs = np.where(np.diag(u)[:k] < 0.0, -1.0, 1.0)
-    u[:k, :] *= signs[:, None]
-    q[:, :k] *= signs[None, :]
+    signs = _fix_signs(u)
+    q[:, : signs.size] *= signs[None, :]
     return q, u
+
+
+def qr_r(a):
+    """Upper factor U of :func:`qr_upper` (same signs), without forming Q."""
+    u = np.linalg.qr(a, mode="r")
+    _fix_signs(u)
+    return u
 
 
 def chol_lower(s):
     """Lower-triangular Cholesky factor of a symmetric PD matrix."""
-    s = _as_matrix(s, "S")
-    try:
-        return scipy.linalg.cholesky(s, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        # scipy reports the offending leading minor; surface the pivot index.
-        msg = str(exc)
-        pivot = "".join(ch for ch in msg if ch.isdigit()) or "?"
+    l, info = _POTRF(s, lower=True, clean=True)
+    if info > 0:
         raise FactorizationError(
-            f"Cholesky factorization failed at pivot {pivot}: matrix not "
+            f"Cholesky factorization failed at pivot {info}: matrix not "
             "positive definite"
-        ) from exc
+        )
+    return l
 
 
 def solve_triangular(l, b, lower=True, trans=False):
     """Solve L X = B (or Lᵀ X = B with ``trans=True``) for triangular L."""
-    l = _as_matrix(l, "L")
-    diag = np.diag(l)
-    if np.any(diag == 0.0):
-        idx = int(np.flatnonzero(diag == 0.0)[0])
-        raise FactorizationError(f"zero diagonal element at index {idx}")
-    b = np.asarray(b, dtype=float)
-    return scipy.linalg.solve_triangular(l, b, lower=lower, trans=1 if trans else 0)
+    l = np.asarray(l)
+    if len(b) != l.shape[0]:
+        raise ValueError(f"L of shape {l.shape} and b of length {len(b)} do not match")
+    if l.flags.f_contiguous:
+        x, info = _TRTRS(l, b, lower=lower, trans=trans)
+    else:
+        # trtrs reads Fortran order: solve the transposed system, as scipy does
+        x, info = _TRTRS(l.T, b, lower=not lower, trans=not trans)
+    if info > 0:
+        raise FactorizationError(f"zero diagonal element at index {info - 1}")
+    if info < 0:
+        raise ValueError(f"LAPACK trtrs rejected argument {-info}")
+    return x
 
 
 def psd_chol(s, rtol=DEFAULT_RANK_RTOL):
@@ -103,8 +132,7 @@ def psd_chol(s, rtol=DEFAULT_RANK_RTOL):
         raise FactorizationError("matrix is not positive semi-definite")
     f = v * np.sqrt(np.clip(w, 0.0, None))[None, :]
     # F Fᵀ = S; re-triangularize: Fᵀ = Q U gives S = Uᵀ U.
-    _, u = qr_upper(f.T)
-    return u.T
+    return qr_r(f.T).T
 
 
 def pseudo_inverse(a, rtol=DEFAULT_RANK_RTOL):

@@ -57,12 +57,14 @@ class ObservationModel:
         self.c = np.asarray(self.c, dtype=float)
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
         if self.noise_chol is None:
-            try:
-                self.noise_chol = linalg.chol_lower(self.noise_cov)
-            except ValueError:
-                # left unset; validate() reports the non-PD or non-finite
-                # covariance
-                self.noise_chol = None
+            # chol_lower scans nothing (a NaN gives a NaN factor), so only a
+            # finite square matrix is factored; validate() reports the rest
+            cov = self.noise_cov
+            if cov.ndim == 2 and cov.shape[0] == cov.shape[1] and np.isfinite(cov).all():
+                try:
+                    self.noise_chol = linalg.chol_lower(cov)
+                except linalg.FactorizationError:
+                    pass  # not PD: left unset for validate() to report
         else:
             self.noise_chol = np.asarray(self.noise_chol, dtype=float)
 

@@ -71,6 +71,5 @@ def sqrt_propagate_marginal(prev, trans_post):
     stacked = np.vstack(
         [(trans_post.phi_post @ prev.cov_chol).T, trans_post.cov_post_chol.T]
     )
-    _, u = linalg.qr_upper(stacked)
-    cov_chol = u.T
+    cov_chol = linalg.qr_r(stacked).T
     return GaussianMarginal(mean, cov_chol @ cov_chol.T, cov_chol)

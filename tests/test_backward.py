@@ -2,8 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gmsmooth import linalg
 from gmsmooth.backward import (
     LogQuadLikelihood,
+    _clamp_psd,
     array_update,
     backward_pass,
     fuse_observation,
@@ -69,6 +71,36 @@ class TestArrayUpdate:
         npt.assert_allclose(p @ p.T, cov - k @ k.T, atol=1e-10)
         for row, y in zip(white, lik.y_bar):
             npt.assert_allclose(l @ row, y - c @ mean, atol=1e-10)
+
+
+class TestClampPsd:
+    @staticmethod
+    def _with_eigenvalues(w, seed=0):
+        v, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(w), len(w))))
+        return (v * np.asarray(w)[None, :]) @ v.T
+
+    def test_pd_input_returned_symmetrized(self, monkeypatch):
+        q = self._with_eigenvalues([0.5, 1.0, 2.0, 3.0])
+        q[0, 1] += 1e-13  # not exactly symmetric
+        # a PD matrix is recognized by its Cholesky factor alone
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert np.array_equal(_clamp_psd(q), 0.5 * (q + q.T))
+
+    def test_tiny_negative_eigenvalue_clamped(self):
+        q = self._with_eigenvalues([-1e-14, 1.0, 2.0])
+        with pytest.raises(linalg.FactorizationError):
+            linalg.chol_lower(0.5 * (q + q.T))  # so the eigh path runs
+        out = _clamp_psd(q)
+        w, v = np.linalg.eigh(0.5 * (q + q.T))
+        expected = (v * np.clip(w, 0.0, None)[None, :]) @ v.T
+        assert np.array_equal(out, 0.5 * (expected + expected.T))
+        assert np.array_equal(out, out.T)
+        npt.assert_allclose(out, q, atol=1e-13)
+
+    def test_significant_negative_eigenvalue_raises(self):
+        q = self._with_eigenvalues([-1e-6, 1.0, 2.0])
+        with pytest.raises(linalg.FactorizationError, match="eigenvalue"):
+            _clamp_psd(q)
 
 
 class TestPredictBackward:

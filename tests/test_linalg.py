@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from gmsmooth import linalg
 
@@ -56,6 +57,14 @@ class TestQrUpper:
             linalg.qr_upper(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+class TestQrR:
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (14, 14), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_qr_upper_factor(self, shape, seed):
+        a = np.random.default_rng(seed).standard_normal(shape)
+        assert np.array_equal(linalg.qr_r(a), linalg.qr_upper(a)[1])
+
+
 class TestCholLower:
     def test_identity(self):
         npt.assert_allclose(linalg.chol_lower(np.eye(2)), np.eye(2))
@@ -83,6 +92,30 @@ class TestCholLower:
         with pytest.raises(linalg.FactorizationError, match="pivot"):
             linalg.chol_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_scipy(self, order, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n))
+        s = np.asarray(a @ a.T + 0.1 * np.eye(n), order=order)
+        assert np.array_equal(
+            linalg.chol_lower(s), scipy.linalg.cholesky(s, lower=True)
+        )
+
+    def test_reports_first_failing_pivot(self):
+        # leading minors 4, 4 and then -4: indefinite at the third
+        s = np.array(
+            [
+                [4.0, 2.0, 0.0, 0.0],
+                [2.0, 2.0, 0.0, 0.0],
+                [0.0, 0.0, -1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        with pytest.raises(linalg.FactorizationError, match="pivot 3:"):
+            linalg.chol_lower(s)
+
 
 class TestSolveTriangular:
     def test_identity(self):
@@ -107,6 +140,45 @@ class TestSolveTriangular:
     def test_zero_diagonal(self):
         with pytest.raises(linalg.FactorizationError, match="index 1"):
             linalg.solve_triangular(np.array([[1.0, 0.0], [1.0, 0.0]]), [1.0, 1.0])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed-view"])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_zero_diagonal_index_in_every_layout(self, layout, lower):
+        l = _triangular(np.arange(1.0, 10.0).reshape(3, 3), lower, layout)
+        l[1, 1] = 0.0
+        with pytest.raises(linalg.FactorizationError, match="index 1$"):
+            linalg.solve_triangular(l, np.ones(3), lower=lower)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed-view"])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("rhs", ["vector", "matrix", "batch-transposed"])
+    def test_bit_identical_to_scipy(self, layout, lower, trans, rhs):
+        rng = np.random.default_rng(3)
+        m = 5
+        l = _triangular(rng.standard_normal((m, m)) + 3.0 * np.eye(m), lower, layout)
+        b = {
+            "vector": rng.standard_normal(m),
+            "matrix": rng.standard_normal((m, 4)),
+            "batch-transposed": rng.standard_normal((7, m)).T,
+        }[rhs]
+        expected = scipy.linalg.solve_triangular(l, b, lower=lower, trans=int(trans))
+        x = linalg.solve_triangular(l, b, lower=lower, trans=trans)
+        assert x.shape == b.shape
+        assert np.array_equal(x, expected)
+
+    def test_mismatched_rows_rejected(self):
+        with pytest.raises(ValueError, match="do not match"):
+            linalg.solve_triangular(np.eye(2), np.ones((3, 2)))
+
+
+def _triangular(a, lower, layout):
+    """Triangular part of ``a`` laid out C-ordered, F-ordered or as a transposed view."""
+    if layout == "transposed-view":
+        # the transpose of a C-ordered triangle of the opposite kind
+        return np.ascontiguousarray(np.triu(a) if lower else np.tril(a)).T
+    tri = np.tril(a) if lower else np.triu(a)
+    return np.asarray(tri, order=layout)
 
 
 class TestPseudoInverse:

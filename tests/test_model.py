@@ -109,6 +109,21 @@ class TestValidate:
             "initial covariance factor is not finite",
         ]
 
+    @pytest.mark.parametrize(
+        "noise_cov, message",
+        [
+            ([[np.nan]], "observation covariance at t=2 is not finite"),
+            ([[1.0, 0.0]], "observation covariance at t=2 has shape (1, 2)"),
+            ([[-1.0]], "observation covariance not PD at t=2"),
+        ],
+    )
+    def test_unfactorable_noise_covariance_left_to_validate(self, noise_cov, message):
+        sensor = ObservationModel([[1.0]], noise_cov)
+        assert sensor.noise_chol is None
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        model.observations[1] = ObservationRecord(2, sensor, np.array([2.0]))
+        assert validate(model) == [message]
+
     def test_batched_values_accepted(self, rng):
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         batched = attach_observations(model, [rng.standard_normal((4, 1)) for _ in range(3)])
