@@ -12,13 +12,11 @@ from .backward import (
     BackwardPassResult,
     DegenerateGaussian,
     LogQuadLikelihood,
-    PosteriorTransition,
     backward_pass,
     fuse_observation,
     likelihood_moments,
     predict_backward,
     terminal_init,
-    to_information,
 )
 from .forward import (
     GaussianMarginal,
@@ -59,7 +57,6 @@ __all__ = [
     "LogQuadLikelihood",
     "ObservationModel",
     "ObservationRecord",
-    "PosteriorTransition",
     "Proper",
     "SmoothingResult",
     "Transition",
@@ -79,7 +76,6 @@ __all__ = [
     "sqrt_backward_pass",
     "sqrt_propagate_marginal",
     "terminal_init",
-    "to_information",
     "validate",
     "wiener_acceleration_model",
 ]

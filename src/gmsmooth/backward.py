@@ -13,10 +13,11 @@ a proper prior both do, is the one kernel :func:`array_update`.
 Data may carry a leading batch axis: observation values of shape (B, m)
 give y_bar and offsets of shape (B, .) and log_c of shape (B,) (or a scalar
 while no data has entered it). Everything else -- c_bar, the innovation
-factor, the gain, phi_post, cov_post and the compression QR -- depends only
-on the model and the missingness pattern, so it is computed once per step
-for all B sequences; the data lines are written in row form so that the
-same kernels serve one sequence (1-D data) and a stack.
+factor, the gain, the posterior kernel's phi and noise_cov, and the
+compression QR -- depends only on the model and the missingness pattern, so
+it is computed once per step for all B sequences; the data lines are
+written in row form so that the same kernels serve one sequence (1-D data)
+and a stack.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import LOG_2PI
+from .model import Transition
 
 # Negative-eigenvalue slack tolerated when clamping posterior noise
 # covariances; anything worse is a genuine failure.
@@ -84,23 +86,6 @@ class LogQuadLikelihood:
 
 
 @dataclass
-class PosteriorTransition:
-    """Forward Markov kernel of the smoothing distribution at one step."""
-
-    phi_post: np.ndarray
-    offset_post: np.ndarray
-    cov_post: np.ndarray
-    cov_post_chol: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.phi_post = np.asarray(self.phi_post, dtype=float)
-        self.offset_post = linalg.as_data(self.offset_post)
-        self.cov_post = np.asarray(self.cov_post, dtype=float)
-        if self.cov_post_chol is not None:
-            self.cov_post_chol = np.asarray(self.cov_post_chol, dtype=float)
-
-
-@dataclass
 class DegenerateGaussian:
     """Gaussian supported on the affine set mean + range(cov)."""
 
@@ -121,7 +106,7 @@ class BackwardPassResult:
 
     likelihood_given_t: list[LogQuadLikelihood]
     likelihood_given_prev: list[LogQuadLikelihood]
-    transitions_post: list[PosteriorTransition]
+    transitions_post: list[Transition]
 
     @property
     def initial_likelihood(self):
@@ -207,13 +192,12 @@ def predict_backward(lik, trans):
     """One backward prediction through a transition.
 
     Maps the likelihood over x_t to the likelihood over x_{t-1} and returns
-    the forward posterior transition kernel for x_t given x_{t-1}.
+    the forward posterior transition kernel for x_t given x_{t-1}, a
+    :class:`~gmsmooth.model.Transition` like the prior's (the prior's own
+    when no data lies ahead).
     """
     if lik.is_empty:
-        post = PosteriorTransition(
-            trans.phi, trans.offset, trans.noise_cov, trans.noise_chol
-        )
-        return LogQuadLikelihood.empty(lik.state_dim), post
+        return LogQuadLikelihood.empty(lik.state_dim), trans
 
     c_bar, y_bar = lik.c_bar, lik.y_bar
     q, phi, u = trans.noise_cov, trans.phi, trans.offset
@@ -245,8 +229,7 @@ def predict_backward(lik, trans):
     q_post = _clamp_psd(q - gain @ r_hat @ gain.T)
 
     lik_prev = LogQuadLikelihood(log_c_new, y_new, c_new)
-    post = PosteriorTransition(phi_post, u_post, q_post)
-    return lik_prev, post
+    return lik_prev, Transition(phi_post, u_post, q_post)
 
 
 def fuse_observation(lik_prev, obs_lik):
@@ -255,19 +238,24 @@ def fuse_observation(lik_prev, obs_lik):
     Pseudo-observation rows of ``lik_prev`` are stacked on top of
     ``obs_lik``. If the stack stays within the state dimension it is kept as
     is; otherwise the stacked matrix is QR-compressed to n rows and the
-    orthogonal data residual is absorbed into the log-constant.
+    orthogonal data residual is absorbed into the log-constant. The same
+    holds for an observation with more rows than states fused into the unit
+    likelihood, so the result never has more than n rows.
     """
     if lik_prev.state_dim != obs_lik.state_dim:
         raise ValueError("likelihoods are over different state dimensions")
-    if lik_prev.is_empty:
-        return obs_lik
     if obs_lik.is_empty:
         return lik_prev
 
     n = lik_prev.state_dim
-    y_hat = np.concatenate([lik_prev.y_bar, obs_lik.y_bar], axis=-1)
-    c_hat = np.vstack([lik_prev.c_bar, obs_lik.c_bar])
-    log_c = lik_prev.log_c + obs_lik.log_c
+    if lik_prev.is_empty:
+        if obs_lik.m_bar <= n:
+            return obs_lik
+        y_hat, c_hat, log_c = obs_lik.y_bar, obs_lik.c_bar, obs_lik.log_c
+    else:
+        y_hat = np.concatenate([lik_prev.y_bar, obs_lik.y_bar], axis=-1)
+        c_hat = np.vstack([lik_prev.c_bar, obs_lik.c_bar])
+        log_c = lik_prev.log_c + obs_lik.log_c
     if c_hat.shape[0] <= n:
         return LogQuadLikelihood(log_c, y_hat, c_hat)
 
@@ -299,13 +287,6 @@ def backward_pass(model, predict=predict_backward):
         likelihood_given_prev[t - 1] = lik
         transitions_post[t - 1] = post
     return BackwardPassResult(likelihood_given_t, likelihood_given_prev, transitions_post)
-
-
-def to_information(lik):
-    """Information-form parameters (xi, lambda) of the likelihood."""
-    xi = lik.y_bar @ lik.c_bar
-    lam = lik.c_bar.T @ lik.c_bar
-    return xi, 0.5 * (lam + lam.T)
 
 
 def likelihood_moments(lik, rtol=linalg.DEFAULT_RANK_RTOL):

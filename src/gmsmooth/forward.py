@@ -48,7 +48,6 @@ class SmoothingResult:
     marginals: list[GaussianMarginal]
     transitions: list
     log_marginal_likelihood: float
-    initial_posterior_kind: str  # "proper" | "degenerate-on-support"
     initial_posterior: object = None  # DegenerateGaussian when degenerate
 
 
@@ -90,7 +89,6 @@ def propagate_marginals(
     posterior0,
     transitions,
     log_marginal_likelihood=math.nan,
-    initial_posterior_kind="proper",
 ):
     """Propagate the x0 posterior through the posterior transition kernels."""
     if isinstance(posterior0, DegenerateGaussian):
@@ -102,14 +100,13 @@ def propagate_marginals(
     marginals = [first]
     for trans in transitions:
         prev = marginals[-1]
-        mean = prev.mean @ trans.phi_post.T + trans.offset_post
-        cov = trans.phi_post @ prev.cov @ trans.phi_post.T + trans.cov_post
+        mean = prev.mean @ trans.phi.T + trans.offset
+        cov = trans.phi @ prev.cov @ trans.phi.T + trans.noise_cov
         marginals.append(GaussianMarginal(mean, 0.5 * (cov + cov.T)))
     return SmoothingResult(
         marginals,
         list(transitions),
         log_marginal_likelihood,
-        initial_posterior_kind,
         initial_posterior,
     )
 
@@ -126,12 +123,7 @@ def smooth(model, rtol=linalg.DEFAULT_RANK_RTOL, backward=None):
     if backward is None:
         backward = backward_pass(model)
     posterior0, log_l = fuse_initial(backward.initial_likelihood, model.initial, rtol)
-    kind = (
-        "proper"
-        if isinstance(model.initial, Proper)
-        else "degenerate-on-support"
-    )
-    return propagate_marginals(posterior0, backward.transitions_post, log_l, kind)
+    return propagate_marginals(posterior0, backward.transitions_post, log_l)
 
 
 def _degenerate_logpdf(x, mean, cov, rtol=linalg.DEFAULT_RANK_RTOL, leak_tol=1e-6):
@@ -166,6 +158,6 @@ def log_path_posterior(result, path, model=None, rtol=linalg.DEFAULT_RANK_RTOL):
     first = result.marginals[0]
     total = _degenerate_logpdf(path[0], first.mean, first.cov, rtol)
     for t, trans in enumerate(result.transitions, start=1):
-        mean = trans.phi_post @ path[t - 1] + trans.offset_post
-        total += _degenerate_logpdf(path[t], mean, trans.cov_post, rtol)
+        mean = trans.phi @ path[t - 1] + trans.offset
+        total += _degenerate_logpdf(path[t], mean, trans.noise_cov, rtol)
     return total

@@ -24,7 +24,11 @@ from . import linalg
 
 @dataclass
 class Transition:
-    """One step x_t = phi x_{t-1} + offset + noise, noise ~ N(0, noise_cov)."""
+    """One step x_t = phi x_{t-1} + offset + noise, noise ~ N(0, noise_cov).
+
+    Prior and path-posterior kernels share this type; a posterior kernel of a
+    batch carries a ``(B, n)`` offset.
+    """
 
     phi: np.ndarray
     offset: np.ndarray
@@ -33,7 +37,7 @@ class Transition:
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
-        self.offset = np.asarray(self.offset, dtype=float).ravel()
+        self.offset = linalg.as_data(self.offset)
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
         if self.noise_chol is not None:
             self.noise_chol = np.asarray(self.noise_chol, dtype=float)
@@ -215,16 +219,17 @@ def validate(model):
                 violations.append(f"observation value without sensor model at t={t}")
             continue
         obs = rec.model
+        if obs.c.ndim != 2:
+            violations.append(f"observation matrix at t={t} has shape {obs.c.shape}")
+            continue
         m = obs.c.shape[0]
         at = f" at t={t}"
         _finite(obs.c, "observation matrix" + at, violations)
         cov_ok = _finite(
             obs.noise_cov, "observation covariance" + at, violations
         ) & _finite(obs.noise_chol, "observation noise factor" + at, violations)
-        if obs.c.ndim != 2 or obs.c.shape[1] != n:
+        if obs.c.shape[1] != n:
             violations.append(f"observation matrix at t={t} has shape {obs.c.shape}")
-        if m > n:
-            violations.append(f"observation dimension {m} exceeds state dimension at t={t}")
         if obs.noise_cov.shape != (m, m):
             violations.append(
                 f"observation covariance at t={t} has shape {obs.noise_cov.shape}"
@@ -439,13 +444,19 @@ def model_from_dict(data):
     if isinstance(raw_trans, dict):
         raw_trans = [raw_trans] * big_t
     transitions = [
-        Transition(tr["phi"], tr["offset"], tr["noise_cov"]) for tr in raw_trans
+        Transition(tr["phi"], np.ravel(tr["offset"]), tr["noise_cov"])
+        for tr in raw_trans
     ]
 
     if "observation_models" in data:
         raw_obs_models = data["observation_models"]
     else:
         raw_obs_models = [data.get("observation_model")] * big_t
+    raw_values = data.get("observations", [None] * big_t)
+    per_step = {"observation_models": raw_obs_models, "observations": raw_values}
+    for key, items in per_step.items():
+        if not isinstance(items, list) or len(items) != big_t:
+            raise ValueError(f"{key} must be a list of {big_t} entries, one per step")
     sensors = [
         None if om is None else ObservationModel(om["c"], om["noise_cov"])
         for om in raw_obs_models
@@ -454,11 +465,11 @@ def model_from_dict(data):
     # The file format holds one sequence: every value is one vector.
     values = [
         None if v is None else np.ravel(np.asarray(v, dtype=float))
-        for v in data.get("observations", [None] * big_t)
+        for v in raw_values
     ]
     records = [
-        ObservationRecord(t, sensors[t - 1], values[t - 1])
-        for t in range(1, big_t + 1)
+        ObservationRecord(t, sensor, value)
+        for t, (sensor, value) in enumerate(zip(sensors, values), start=1)
     ]
 
     init = data["initial"]

@@ -18,11 +18,11 @@ import numpy as np
 from . import linalg
 from .backward import (
     LogQuadLikelihood,
-    PosteriorTransition,
     array_update,
     backward_pass,
 )
 from .forward import GaussianMarginal
+from .model import Transition
 
 
 def array_predict_backward(lik, trans):
@@ -30,10 +30,7 @@ def array_predict_backward(lik, trans):
     if trans.noise_chol is None:
         raise ValueError("square-root prediction requires noise_chol on the transition")
     if lik.is_empty:
-        post = PosteriorTransition(
-            trans.phi, trans.offset, trans.noise_cov, trans.noise_chol
-        )
-        return LogQuadLikelihood.empty(lik.state_dim), post
+        return LogQuadLikelihood.empty(lik.state_dim), trans
 
     r_hat_chol, gain_hat, q_post_chol, y_new = array_update(
         lik, trans.offset, trans.noise_chol
@@ -47,8 +44,7 @@ def array_predict_backward(lik, trans):
     cov_post = q_post_chol @ q_post_chol.T
 
     lik_prev = LogQuadLikelihood(log_c_new, y_new, c_new)
-    post = PosteriorTransition(phi_post, u_post, cov_post, q_post_chol)
-    return lik_prev, post
+    return lik_prev, Transition(phi_post, u_post, cov_post, q_post_chol)
 
 
 def sqrt_backward_pass(model):
@@ -65,11 +61,11 @@ def sqrt_backward_pass(model):
 
 def sqrt_propagate_marginal(prev, trans_post):
     """Propagate a smoothing marginal one step forward in factored form."""
-    if prev.cov_chol is None or trans_post.cov_post_chol is None:
+    if prev.cov_chol is None or trans_post.noise_chol is None:
         raise ValueError("square-root propagation requires covariance factors")
-    mean = prev.mean @ trans_post.phi_post.T + trans_post.offset_post
+    mean = prev.mean @ trans_post.phi.T + trans_post.offset
     stacked = np.vstack(
-        [(trans_post.phi_post @ prev.cov_chol).T, trans_post.cov_post_chol.T]
+        [(trans_post.phi @ prev.cov_chol).T, trans_post.noise_chol.T]
     )
     cov_chol = linalg.qr_r(stacked).T
     return GaussianMarginal(mean, cov_chol @ cov_chol.T, cov_chol)

@@ -133,9 +133,9 @@ class TestCriterion4:
                     worst = max(worst, np.max(np.abs(a.y_bar - b.y_bar)))
                     worst = max(worst, np.max(np.abs(a.c_bar - b.c_bar)))
                 ta, tb = plain.transitions_post[t], via_array.transitions_post[t]
-                worst = max(worst, np.max(np.abs(ta.phi_post - tb.phi_post)))
-                worst = max(worst, np.max(np.abs(ta.offset_post - tb.offset_post)))
-                worst = max(worst, np.max(np.abs(ta.cov_post - tb.cov_post)))
+                worst = max(worst, np.max(np.abs(ta.phi - tb.phi)))
+                worst = max(worst, np.max(np.abs(ta.offset - tb.offset)))
+                worst = max(worst, np.max(np.abs(ta.noise_cov - tb.noise_cov)))
 
         model = ill_conditioned_model(cond=1e12)
         rng = np.random.default_rng(5)

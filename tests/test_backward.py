@@ -12,7 +12,6 @@ from gmsmooth.backward import (
     likelihood_moments,
     predict_backward,
     terminal_init,
-    to_information,
 )
 from gmsmooth.baselines import future_likelihood_oracle
 from gmsmooth.model import ObservationModel, ObservationRecord, Transition
@@ -110,9 +109,10 @@ class TestPredictBackward:
         ).with_noise_chol()
         lik, post = predict_backward(LogQuadLikelihood.empty(2), trans)
         assert lik.is_empty
-        npt.assert_array_equal(post.phi_post, trans.phi)
-        npt.assert_array_equal(post.offset_post, trans.offset)
-        npt.assert_array_equal(post.cov_post, trans.noise_cov)
+        assert post is trans
+        npt.assert_array_equal(post.phi, trans.phi)
+        npt.assert_array_equal(post.offset, trans.offset)
+        npt.assert_array_equal(post.noise_cov, trans.noise_cov)
 
     def test_scalar_hand_example(self):
         lik = LogQuadLikelihood(0.0, [2.0], [[1.0]])
@@ -121,9 +121,9 @@ class TestPredictBackward:
         npt.assert_allclose(prev.y_bar, [np.sqrt(2.0)])
         npt.assert_allclose(prev.c_bar, [[1.0 / np.sqrt(2.0)]])
         npt.assert_allclose(prev.log_c, -0.5 * np.log(2.0))
-        npt.assert_allclose(post.phi_post, [[0.5]])
-        npt.assert_allclose(post.offset_post, [1.0])
-        npt.assert_allclose(post.cov_post, [[0.5]])
+        npt.assert_allclose(post.phi, [[0.5]])
+        npt.assert_allclose(post.offset, [1.0])
+        npt.assert_allclose(post.noise_cov, [[0.5]])
 
     def test_zero_noise_shifts_data(self, rng):
         n = 3
@@ -136,9 +136,9 @@ class TestPredictBackward:
         npt.assert_allclose(prev.y_bar, y_bar - c_bar @ u0, atol=1e-12)
         npt.assert_allclose(prev.c_bar, c_bar, atol=1e-12)
         npt.assert_allclose(prev.log_c, -1.2, atol=1e-12)
-        npt.assert_allclose(post.phi_post, np.eye(n), atol=1e-12)
-        npt.assert_allclose(post.offset_post, u0, atol=1e-12)
-        npt.assert_allclose(post.cov_post, np.zeros((n, n)), atol=1e-12)
+        npt.assert_allclose(post.phi, np.eye(n), atol=1e-12)
+        npt.assert_allclose(post.offset, u0, atol=1e-12)
+        npt.assert_allclose(post.noise_cov, np.zeros((n, n)), atol=1e-12)
 
 
 class TestFuseObservation:
@@ -185,6 +185,15 @@ class TestFuseObservation:
             x = rng.standard_normal(n)
             direct = prev.log_value(x) + obs.log_value(x)
             npt.assert_allclose(fused.log_value(x), direct, atol=1e-10)
+
+    def test_observation_wider_than_state_compressed(self, rng):
+        n = 2
+        obs = LogQuadLikelihood(-0.9, rng.standard_normal(3), rng.standard_normal((3, n)))
+        fused = fuse_observation(LogQuadLikelihood.empty(n), obs)
+        assert fused.m_bar == n
+        for _ in range(20):
+            x = rng.standard_normal(n)
+            npt.assert_allclose(fused.log_value(x), obs.log_value(x), atol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -253,7 +262,7 @@ class TestBackwardPass:
                 r_hat = np.eye(lik.m_bar) + lik.c_bar @ q @ lik.c_bar.T
                 assert np.linalg.eigvalsh(r_hat).min() >= 1.0 - 1e-10
             # posterior transition noise is PSD
-            q_post = result.transitions_post[t - 1].cov_post
+            q_post = result.transitions_post[t - 1].noise_cov
             assert np.linalg.eigvalsh(q_post).min() >= -1e-10
 
     @pytest.mark.parametrize("seed", range(8))
@@ -268,13 +277,13 @@ class TestBackwardPass:
         for t in range(1, model.horizon + 1):
             tr = model.transition(t)
             post = result.transitions_post[t - 1]
-            if np.linalg.eigvalsh(post.cov_post).min() < 1e-8:
+            if np.linalg.eigvalsh(post.noise_cov).min() < 1e-8:
                 continue  # degenerate kernels checked via the smoother tests
             for _ in range(5):
                 x_prev = rng.standard_normal(model.state_dim)
                 x_t = rng.standard_normal(model.state_dim)
                 lhs = gaussian_logpdf(
-                    x_t, post.phi_post @ x_prev + post.offset_post, post.cov_post
+                    x_t, post.phi @ x_prev + post.offset, post.noise_cov
                 )
                 rhs = (
                     result.likelihood_given_t[t - 1].log_value(x_t)
@@ -282,42 +291,6 @@ class TestBackwardPass:
                     - result.likelihood_given_prev[t - 1].log_value(x_prev)
                 )
                 npt.assert_allclose(lhs, rhs, atol=1e-8)
-
-
-class TestInformationForm:
-    def test_identity_case(self):
-        lik = LogQuadLikelihood(0.0, [1.0, 2.0], np.eye(2))
-        xi, lam = to_information(lik)
-        npt.assert_allclose(xi, [1.0, 2.0])
-        npt.assert_allclose(lam, np.eye(2))
-
-    def test_scalar_case(self):
-        lik = LogQuadLikelihood(0.0, [np.sqrt(2.0)], [[1.0 / np.sqrt(2.0)]])
-        xi, lam = to_information(lik)
-        npt.assert_allclose(xi, [1.0])
-        npt.assert_allclose(lam, [[0.5]])
-
-    def test_empty(self):
-        xi, lam = to_information(LogQuadLikelihood.empty(3))
-        npt.assert_allclose(xi, np.zeros(3))
-        npt.assert_allclose(lam, np.zeros((3, 3)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_consistency_with_log_value(self, seed):
-        rng = np.random.default_rng(seed)
-        lik = LogQuadLikelihood(
-            rng.standard_normal(), rng.standard_normal(3), rng.standard_normal((3, 4))
-        )
-        xi, lam = to_information(lik)
-        for _ in range(10):
-            x = rng.standard_normal(4)
-            info_form = (
-                -0.5 * x @ lam @ x
-                + xi @ x
-                - 0.5 * lik.y_bar @ lik.y_bar
-                + lik.log_c
-            )
-            npt.assert_allclose(info_form, lik.log_value(x), atol=1e-12)
 
 
 class TestLikelihoodMoments:

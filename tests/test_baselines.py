@@ -183,8 +183,8 @@ class TestPairwiseTransitionAgreement:
         for t in range(1, model.horizon + 1):
             kernel = result.transitions[t - 1]
             prev = result.marginals[t - 1]
-            cross = prev.cov @ kernel.phi_post.T
-            marg_cov = kernel.phi_post @ prev.cov @ kernel.phi_post.T + kernel.cov_post
+            cross = prev.cov @ kernel.phi.T
+            marg_cov = kernel.phi @ prev.cov @ kernel.phi.T + kernel.noise_cov
             i, j = (t - 1) * n, t * n
             npt.assert_allclose(cross, cov[i : i + n, j : j + n], atol=1e-8)
             npt.assert_allclose(marg_cov, cov[j : j + n, j : j + n], atol=1e-8)

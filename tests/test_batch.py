@@ -1,9 +1,10 @@
 """Batched observation data: a (B, m) stack through one structure pass.
 
 Each batched result is checked against B single-sequence runs of the same
-model. The structure (c_bar, phi_post, cov_post, marginal covariances) never
-touches the data, so it must be bit-identical; the data lines run in row form
-on a stack, so means, offsets and log c are held to a relative 1e-9.
+model. The structure (c_bar, the kernels' phi and noise_cov, marginal
+covariances) never touches the data, so it must be bit-identical; the data
+lines run in row form on a stack, so means, offsets and log c are held to a
+relative 1e-9.
 """
 
 import csv
@@ -71,10 +72,10 @@ def test_backward_pass_matches_single_runs(run_pass, seed, initial, batch):
                 assert_data_close(lik.y_bar[b], lik_ref.y_bar)
             assert_data_close(np.broadcast_to(lik.log_c, (batch,))[b], lik_ref.log_c)
         for post, post_ref in zip(got.transitions_post, ref.transitions_post):
-            npt.assert_array_equal(post.phi_post, post_ref.phi_post)
-            npt.assert_array_equal(post.cov_post, post_ref.cov_post)
-            offset = np.broadcast_to(post.offset_post, (batch,) + post_ref.offset_post.shape)
-            assert_data_close(offset[b], post_ref.offset_post)
+            npt.assert_array_equal(post.phi, post_ref.phi)
+            npt.assert_array_equal(post.noise_cov, post_ref.noise_cov)
+            offset = np.broadcast_to(post.offset, (batch,) + post_ref.offset.shape)
+            assert_data_close(offset[b], post_ref.offset)
 
 
 @pytest.mark.parametrize("batch", [1, 3])

@@ -5,10 +5,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gmsmooth.baselines import build_joint, condition_joint, stacked_mle
-from gmsmooth.cli import DemoConfig, main, run_demo, run_demo_single, run_model_file
+from gmsmooth.baselines import build_joint, condition_joint, smoothing_oracle, stacked_mle
+from gmsmooth.cli import (
+    PIPELINES,
+    DemoConfig,
+    main,
+    run_demo,
+    run_demo_single,
+    run_model_file,
+)
 from gmsmooth.forward import smooth
-from gmsmooth.model import FlatOnSupport, model_to_dict, save_model
+from gmsmooth.model import (
+    FlatOnSupport,
+    ObservationModel,
+    ObservationRecord,
+    attach_observations,
+    model_to_dict,
+    save_model,
+)
 
 from conftest import random_model
 from test_model import scalar_random_walk
@@ -191,3 +205,51 @@ class TestRunModelFile:
         code = main(["run", str(path), "--output", str(tmp_path / "out")])
         assert code != 0
         assert "not PD" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["observations"].pop(), "observations must be a list of 3"),
+            (lambda d: d["observation_models"].pop(), "observation_models must be a list"),
+            (lambda d: d["observations"].append([0.4]), "observations must be a list of 3"),
+            (lambda d: d.update(observations=None), "observations must be a list of 3"),
+            (
+                lambda d: d["observation_models"][1].update(c=2.0),
+                "observation matrix at t=2 has shape ()",
+            ),
+        ],
+        ids=["short-values", "short-sensors", "long-values", "null-values", "scalar-c"],
+    )
+    def test_malformed_model_file_exits_2_naming_field(self, tmp_path, capsys, edit, message):
+        data = model_to_dict(scalar_random_walk(horizon=3, values=[0.1, 0.2, 0.3]))
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", str(path), "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_observation_wider_than_state(self, tmp_path, pipeline):
+        # n = 2 states seen through m = 3 components at every step
+        rng = np.random.default_rng(8)
+        model = random_model(rng, n=2, horizon=5)
+        records = [
+            ObservationRecord(t, ObservationModel(rng.standard_normal((3, 2)), np.eye(3)))
+            for t in range(1, 6)
+        ]
+        model.observations = records
+        model = attach_observations(model, [rng.standard_normal(3) for _ in range(5)])
+        oracle, _, evidence = smoothing_oracle(model)
+        path = self.write_fixture(tmp_path, model)
+        summary = run_model_file(path, pipeline, str(tmp_path / "out"))
+        if pipeline != "backward-only":
+            npt.assert_allclose(summary["log_marginal_likelihood"], evidence, atol=1e-8)
+        if pipeline == "evidence":
+            return
+        with open(tmp_path / "out.csv", newline="") as fh:
+            table = np.array([[float(c) for c in row] for row in list(csv.reader(fh))[1:]])
+        if pipeline == "backward-only":
+            assert np.all(table[:, 1] <= 2)  # m_bar never exceeds n
+        elif pipeline != "filter":
+            npt.assert_allclose(table[:, 1:3], [m.mean for m in oracle], atol=1e-8)

@@ -67,12 +67,12 @@ class TestPropagateMarginals:
         assert result.marginals[0] is post0
 
     def test_identity_kernels(self, rng):
-        from gmsmooth.backward import PosteriorTransition
+        from gmsmooth.model import Transition
         from gmsmooth.forward import GaussianMarginal
 
         post0 = GaussianMarginal(rng.standard_normal(2), np.eye(2))
         kernels = [
-            PosteriorTransition(np.eye(2), np.zeros(2), np.zeros((2, 2)))
+            Transition(np.eye(2), np.zeros(2), np.zeros((2, 2)))
             for _ in range(4)
         ]
         result = propagate_marginals(post0, kernels)
@@ -133,7 +133,7 @@ class TestLogPathPosterior:
         post0 = DegenerateGaussian(
             [0.0, 0.0], np.diag([1.0, 0.0]), 1, np.array([[1.0], [0.0]])
         )
-        result = propagate_marginals(post0, [], initial_posterior_kind="degenerate-on-support")
+        result = propagate_marginals(post0, [])
         with pytest.raises(ValueError, match="off the support"):
             log_path_posterior(result, [np.array([0.0, 1.0])])
 

@@ -57,6 +57,11 @@ class TestValidate:
         model.observations[2] = ObservationRecord(3, bad, np.array([1.0]))
         assert any("t=3" in v for v in validate(model))
 
+    def test_batched_transition_offset_rejected(self):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        model.transitions[1] = Transition([[1.0]], np.zeros((2, 1)), [[1.0]])
+        assert validate(model) == ["transition offset at t=2 has shape (2, 1)"]
+
     def test_no_observations(self):
         model = scalar_random_walk()
         assert any("no non-missing observation" in v for v in validate(model))
@@ -320,6 +325,13 @@ class TestJsonRoundTrip:
         data["observations"][1] = [[2.0]]
         model = model_from_dict(data)
         npt.assert_array_equal(model.observation(2).value, [2.0])
+        assert validate(model) == []
+
+    def test_nested_offset_read_as_vector(self):
+        data = model_to_dict(scalar_random_walk(values=[1.0, 2.0, 3.0]))
+        data["transitions"][1]["offset"] = [[0.5]]
+        model = model_from_dict(data)
+        npt.assert_array_equal(model.transition(2).offset, [0.5])
         assert validate(model) == []
 
     def test_unknown_initial_kind(self):

@@ -1,0 +1,126 @@
+"""Property tests of both backward passes against the dense joint-Gaussian oracle.
+
+Hypothesis draws the structure of a model -- state dimension n in 1..4,
+observation dimension m in 1..n+2, horizon T in 1..10, and per step whether
+the transition matrix is singular, the process noise is zero, and the step
+is observed, missing or sensor-less -- and a seed for its numbers. The
+runs are derandomized, so the drawn models are the same on every run.
+"""
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmsmooth.baselines import smoothing_oracle
+from gmsmooth.forward import smooth
+from gmsmooth.model import (
+    GaussMarkovModel,
+    ObservationModel,
+    ObservationRecord,
+    Proper,
+    Transition,
+    attach_observations,
+    validate,
+)
+from gmsmooth.sqrt import sqrt_backward_pass
+
+from conftest import random_psd
+
+TOL = 1e-8  # the acceptance criteria's oracle tolerance
+BATCH = 3
+BATCH_RTOL = 1e-9  # tests/test_batch.py's data tolerance
+
+PROPERTY_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None)
+
+
+@st.composite
+def models(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n + 2))
+    horizon = draw(st.integers(1, 10))
+    per_step = st.lists(st.booleans(), min_size=horizon, max_size=horizon)
+    singular_phi, zero_q = draw(per_step), draw(per_step)
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["observed", "missing", "sensorless"]),
+            min_size=horizon,
+            max_size=horizon,
+        )
+    )
+    if "observed" not in kinds:
+        kinds[draw(st.integers(0, horizon - 1))] = "observed"
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    transitions, records = [], []
+    for t in range(1, horizon + 1):
+        phi = rng.standard_normal((n, n))
+        if singular_phi[t - 1]:
+            phi[rng.integers(n), :] = 0.0
+        q = np.zeros((n, n)) if zero_q[t - 1] else random_psd(rng, n)
+        transitions.append(Transition(phi, rng.standard_normal(n), q))
+        kind = kinds[t - 1]
+        sensor = None
+        if kind != "sensorless":
+            r = random_psd(rng, m) + np.diag(rng.uniform(0.5, 1.5, size=m))
+            sensor = ObservationModel(rng.standard_normal((m, n)), r)
+        value = rng.standard_normal(m) if kind == "observed" else None
+        records.append(ObservationRecord(t, sensor, value))
+    initial = Proper(rng.standard_normal(n), random_psd(rng, n))
+    model = GaussMarkovModel(n, horizon, transitions, records, initial)
+    assert validate(model) == []
+    return model
+
+
+def batch_of(model, rng):
+    """The model with (B, m) values, and the B single-sequence models."""
+    stacks = [
+        None if rec.value is None else rng.standard_normal((BATCH, rec.value.size))
+        for rec in model.observations
+    ]
+    singles = [
+        attach_observations(model, [None if y is None else y[b] for y in stacks])
+        for b in range(BATCH)
+    ]
+    return attach_observations(model, stacks), singles
+
+
+def both_passes(model):
+    return {
+        "plain": smooth(model),
+        "sqrt": smooth(model, backward=sqrt_backward_pass(model)),
+    }
+
+
+@PROPERTY_SETTINGS
+@given(models())
+def test_smoothing_matches_dense_oracle(model):
+    oracle, _, evidence = smoothing_oracle(model)  # evidence by condition_joint
+    for name, result in both_passes(model).items():
+        assert len(result.marginals) == model.horizon + 1, name
+        for got, want in zip(result.marginals, oracle):
+            npt.assert_allclose(got.mean, want.mean, rtol=0.0, atol=TOL, err_msg=name)
+            npt.assert_allclose(got.cov, want.cov, rtol=0.0, atol=TOL, err_msg=name)
+        assert abs(result.log_marginal_likelihood - evidence) <= TOL, name
+
+
+@PROPERTY_SETTINGS
+@given(models(), st.integers(0, 2**32 - 1))
+def test_batch_matches_single_sequences(model, seed):
+    batched, singles = batch_of(model, np.random.default_rng(seed))
+    got = both_passes(batched)
+    for b, single in enumerate(singles):
+        for name, ref in both_passes(single).items():
+            result = got[name]
+            for marg, marg_ref in zip(result.marginals, ref.marginals):
+                npt.assert_array_equal(marg.cov, marg_ref.cov, err_msg=name)
+                npt.assert_allclose(
+                    marg.mean[b], marg_ref.mean, rtol=BATCH_RTOL, atol=0.0, err_msg=name
+                )
+            npt.assert_allclose(
+                result.log_marginal_likelihood[b],
+                ref.log_marginal_likelihood,
+                rtol=BATCH_RTOL,
+                atol=0.0,
+                err_msg=name,
+            )

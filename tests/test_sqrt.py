@@ -32,16 +32,17 @@ class TestArrayPredictBackward:
         npt.assert_allclose(prev.y_bar, [np.sqrt(2.0)])
         npt.assert_allclose(prev.c_bar, [[1.0 / np.sqrt(2.0)]])
         npt.assert_allclose(prev.log_c, -0.5 * np.log(2.0))
-        npt.assert_allclose(post.phi_post, [[0.5]])
-        npt.assert_allclose(post.offset_post, [1.0])
-        npt.assert_allclose(post.cov_post, [[0.5]])
-        npt.assert_allclose(post.cov_post_chol, [[1.0 / np.sqrt(2.0)]])
+        npt.assert_allclose(post.phi, [[0.5]])
+        npt.assert_allclose(post.offset, [1.0])
+        npt.assert_allclose(post.noise_cov, [[0.5]])
+        npt.assert_allclose(post.noise_chol, [[1.0 / np.sqrt(2.0)]])
 
     def test_empty_likelihood(self):
         trans = Transition(np.eye(2), np.zeros(2), np.eye(2)).with_noise_chol()
         prev, post = array_predict_backward(LogQuadLikelihood.empty(2), trans)
         assert prev.is_empty
-        npt.assert_array_equal(post.cov_post_chol, trans.noise_chol)
+        assert post is trans
+        npt.assert_array_equal(post.noise_chol, trans.noise_chol)
 
     def test_zero_noise(self, rng):
         n = 2
@@ -52,8 +53,8 @@ class TestArrayPredictBackward:
             rng.standard_normal((n, n)), rng.standard_normal(n), np.zeros((n, n))
         ).with_noise_chol()
         prev, post = array_predict_backward(lik, trans)
-        npt.assert_allclose(post.cov_post, np.zeros((n, n)), atol=1e-12)
-        npt.assert_allclose(post.cov_post_chol, np.zeros((n, n)), atol=1e-12)
+        npt.assert_allclose(post.noise_cov, np.zeros((n, n)), atol=1e-12)
+        npt.assert_allclose(post.noise_chol, np.zeros((n, n)), atol=1e-12)
         # R_hat = I so whitening is a no-op
         npt.assert_allclose(prev.y_bar, lik.y_bar - lik.c_bar @ trans.offset, atol=1e-12)
 
@@ -79,9 +80,9 @@ class TestArrayPredictBackward:
         npt.assert_allclose(p2.y_bar, p1.y_bar, atol=1e-8)
         npt.assert_allclose(p2.c_bar, p1.c_bar, atol=1e-8)
         npt.assert_allclose(p2.log_c, p1.log_c, atol=1e-8)
-        npt.assert_allclose(t2.phi_post, t1.phi_post, atol=1e-8)
-        npt.assert_allclose(t2.offset_post, t1.offset_post, atol=1e-8)
-        npt.assert_allclose(t2.cov_post, t1.cov_post, atol=1e-8)
+        npt.assert_allclose(t2.phi, t1.phi, atol=1e-8)
+        npt.assert_allclose(t2.offset, t1.offset, atol=1e-8)
+        npt.assert_allclose(t2.noise_cov, t1.noise_cov, atol=1e-8)
 
     def test_factor_validity(self, rng):
         for _ in range(5):
@@ -95,7 +96,7 @@ class TestArrayPredictBackward:
                 rng.standard_normal((n, n)), rng.standard_normal(n), a @ a.T
             ).with_noise_chol()
             _, post = array_predict_backward(lik, trans)
-            rec = post.cov_post_chol @ post.cov_post_chol.T
+            rec = post.noise_chol @ post.noise_chol.T
             npt.assert_allclose(rec, rec.T, atol=1e-12)
             chol_lower(rec + 1e-12 * np.eye(n))  # jittered Cholesky succeeds
 
@@ -160,10 +161,10 @@ class TestSqrtFuseInitial:
 
 class TestSqrtPropagateMarginal:
     def make_post(self, phi, u, q_chol):
-        from gmsmooth.backward import PosteriorTransition
+        from gmsmooth.model import Transition
 
         q_chol = np.asarray(q_chol, dtype=float)
-        return PosteriorTransition(phi, u, q_chol @ q_chol.T, q_chol)
+        return Transition(phi, u, q_chol @ q_chol.T, q_chol)
 
     def test_identity_no_noise(self):
         marg = GaussianMarginal([1.0, 2.0], np.diag([1.0, 4.0]), np.diag([1.0, 2.0]))
@@ -192,7 +193,7 @@ class TestSqrtPropagateMarginal:
         u = rng.standard_normal(n)
         post = self.make_post(phi, u, q_chol)
         out = sqrt_propagate_marginal(marg, post)
-        expected_cov = phi @ marg.cov @ phi.T + post.cov_post
+        expected_cov = phi @ marg.cov @ phi.T + post.noise_cov
         npt.assert_allclose(out.mean, phi @ marg.mean + u, atol=1e-10)
         npt.assert_allclose(out.cov, expected_cov, atol=1e-8)
 
@@ -210,9 +211,9 @@ class TestPlainSqrtEquivalence:
             npt.assert_allclose(b.c_bar, a.c_bar, atol=1e-8)
             npt.assert_allclose(b.log_c, a.log_c, atol=1e-8)
             ta, tb = plain.transitions_post[t], via_array.transitions_post[t]
-            npt.assert_allclose(tb.phi_post, ta.phi_post, atol=1e-8)
-            npt.assert_allclose(tb.offset_post, ta.offset_post, atol=1e-8)
-            npt.assert_allclose(tb.cov_post, ta.cov_post, atol=1e-8)
+            npt.assert_allclose(tb.phi, ta.phi, atol=1e-8)
+            npt.assert_allclose(tb.offset, ta.offset, atol=1e-8)
+            npt.assert_allclose(tb.noise_cov, ta.noise_cov, atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_json_model_without_noise_factor(self, seed):
@@ -228,9 +229,9 @@ class TestPlainSqrtEquivalence:
             npt.assert_allclose(b.c_bar, a.c_bar, atol=1e-8)
             npt.assert_allclose(b.log_c, a.log_c, atol=1e-8)
             ta, tb = plain.transitions_post[t], via_array.transitions_post[t]
-            npt.assert_allclose(tb.phi_post, ta.phi_post, atol=1e-8)
-            npt.assert_allclose(tb.offset_post, ta.offset_post, atol=1e-8)
-            npt.assert_allclose(tb.cov_post, ta.cov_post, atol=1e-8)
+            npt.assert_allclose(tb.phi, ta.phi, atol=1e-8)
+            npt.assert_allclose(tb.offset, ta.offset, atol=1e-8)
+            npt.assert_allclose(tb.noise_cov, ta.noise_cov, atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_smoothing_marginals_agree(self, seed):
