@@ -38,6 +38,7 @@ from .model import (
     load_model,
     save_model,
     simulate,
+    simulate_batch,
     validate,
     wiener_acceleration_model,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "propagate_marginals",
     "save_model",
     "simulate",
+    "simulate_batch",
     "smooth",
     "sqrt_backward_pass",
     "sqrt_propagate_marginal",

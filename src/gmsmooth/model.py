@@ -308,6 +308,53 @@ def simulate(model, seed):
     return states, observations
 
 
+def simulate_batch(model, seeds):
+    """Draw one sequence per seed, all B stepped together.
+
+    Row b equals ``simulate(model, seeds[b])`` bit for bit: each seed's
+    normals come from one draw in :func:`simulate`'s order (numpy's normal
+    stream does not depend on how draws are split), and every product runs
+    as one gemv per sequence, like ``a @ x`` (``x @ a.T`` would run a gemm,
+    which need not round the same).
+
+    Returns (states, observations): states ``(B, T+1, n)`` and a length-T
+    list of ``(B, m)`` stacks, None wherever no sensor is defined.
+    """
+    if not isinstance(model.initial, Proper):
+        raise ValueError("simulation requires a proper initial distribution")
+    n, big_t = model.state_dim, model.horizon
+    sensors = [model.observation(t).model for t in range(1, big_t + 1)]
+    total = n * (big_t + 1) + sum(s.obs_dim for s in sensors if s is not None)
+    normals = np.array([np.random.default_rng(s).standard_normal(total) for s in seeds])
+    used = 0
+
+    def noise(factor):
+        """``factor`` times each seed's next block of normals, ``(B, rows)``."""
+        nonlocal used
+        block = normals[:, used : used + factor.shape[1]]
+        used += factor.shape[1]
+        return _gemv(factor, block)
+
+    init = model.initial.with_chol()
+    x = init.mean + noise(init.chol)
+    states = [x]
+    observations = []
+    for t, sensor in enumerate(sensors, start=1):
+        trans = model.transition(t).with_noise_chol()
+        x = _gemv(trans.phi, x) + trans.offset + noise(trans.noise_chol)
+        states.append(x)
+        if sensor is None:
+            observations.append(None)
+        else:
+            observations.append(_gemv(sensor.c, x) + noise(sensor.noise_chol))
+    return np.stack(states, axis=1), observations
+
+
+def _gemv(a, x):
+    """``a @ v`` for every row v of the ``(B, k)`` stack x, one gemv each."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
 def attach_observations(model, values):
     """Return a copy of the model with observation values filled in.
 
@@ -435,14 +482,49 @@ def model_to_dict(model):
     }
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
+
+
+def _json_type(value):
+    return _JSON_TYPES.get(type(value), "number")
+
+
+def _integer(data, key):
+    try:
+        return int(data[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {_json_type(data[key])}") from None
+
+
+def _check_objects(items, key, nullable=False):
+    """Raise a ValueError naming the first per-step entry that is not an object."""
+    for t, item in enumerate(items, start=1):
+        if not isinstance(item, dict) and not (nullable and item is None):
+            expected = "an object or null" if nullable else "an object"
+            raise ValueError(
+                f"{key} entry at t={t} must be {expected}, got {_json_type(item)}"
+            )
+
+
 def model_from_dict(data):
-    """Parse a model from the JSON schema; see :func:`model_to_dict`."""
-    n = int(data["state_dim"])
-    big_t = int(data["horizon"])
+    """Parse a model from the JSON schema; see :func:`model_to_dict`.
+
+    Raises ValueError, naming the field and step, for a value of the wrong
+    JSON type; a missing field raises KeyError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a model must be a JSON object, got {_json_type(data)}")
+    n = _integer(data, "state_dim")
+    big_t = _integer(data, "horizon")
 
     raw_trans = data["transitions"]
     if isinstance(raw_trans, dict):
         raw_trans = [raw_trans] * big_t
+    if not isinstance(raw_trans, list):
+        raise ValueError(
+            f"transitions must be an object or a list of objects, got {_json_type(raw_trans)}"
+        )
+    _check_objects(raw_trans, "transitions")
     transitions = [
         Transition(tr["phi"], np.ravel(tr["offset"]), tr["noise_cov"])
         for tr in raw_trans
@@ -457,6 +539,7 @@ def model_from_dict(data):
     for key, items in per_step.items():
         if not isinstance(items, list) or len(items) != big_t:
             raise ValueError(f"{key} must be a list of {big_t} entries, one per step")
+    _check_objects(raw_obs_models, "observation_models", nullable=True)
     sensors = [
         None if om is None else ObservationModel(om["c"], om["noise_cov"])
         for om in raw_obs_models
@@ -473,6 +556,8 @@ def model_from_dict(data):
     ]
 
     init = data["initial"]
+    if not isinstance(init, dict):
+        raise ValueError(f"initial must be an object, got {_json_type(init)}")
     kind = init["kind"]
     if kind == "proper":
         initial = Proper(init["mean"], init["cov"])

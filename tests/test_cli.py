@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from gmsmooth.cli import (
     DemoConfig,
     main,
     run_demo,
+    run_demo_batch,
     run_demo_single,
     run_model_file,
 )
@@ -19,13 +21,26 @@ from gmsmooth.model import (
     FlatOnSupport,
     ObservationModel,
     ObservationRecord,
+    Proper,
     attach_observations,
     model_to_dict,
     save_model,
+    simulate,
+    wiener_acceleration_model,
 )
 
 from conftest import random_model
 from test_model import scalar_random_walk
+
+
+def in_place(change):
+    """An edit that applies ``change`` to a model dict and returns the dict."""
+
+    def edit(data):
+        change(data)
+        return data
+
+    return edit
 
 
 def small_config(tmp_path, **overrides):
@@ -86,6 +101,31 @@ class TestDemo:
                 for cell in row:
                     if cell:  # the detail CSV leaves missing observations empty
                         float(cell)
+
+    def test_batch_replays_simulate_per_seed(self):
+        # the demo's replications, drawn together, equal the per-seed replay
+        # that perfbench's mc-replications check runs
+        config = DemoConfig(horizon=32, first_obs_index=15)
+        seeds = range(40, 44)
+        out = run_demo_batch(config, seeds)
+        # np.mean sums in memory order: the RMSEs need truth in C order
+        assert out["truth"].flags.c_contiguous
+        inference = wiener_acceleration_model(
+            config.dt,
+            (config.sigma1, config.sigma2),
+            (config.lambda1, config.lambda2),
+            config.horizon,
+            config.first_obs_index,
+        )
+        ref = np.asarray(config.reference_initial_state, dtype=float)
+        sim_model = replace(inference, initial=Proper(ref, np.zeros((6, 6))))
+        for b, seed in enumerate(seeds):
+            states, ys = simulate(sim_model, seed)
+            npt.assert_array_equal(out["truth"][b], [[x[0], x[3]] for x in states])
+            for y, y_ref in zip(out["observations"], ys, strict=True):
+                assert (y is None) == (y_ref is None)
+                if y is not None:
+                    npt.assert_array_equal(y[b], y_ref)
 
     def test_cli_entry_point(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"
@@ -209,22 +249,54 @@ class TestRunModelFile:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d["observations"].pop(), "observations must be a list of 3"),
-            (lambda d: d["observation_models"].pop(), "observation_models must be a list"),
-            (lambda d: d["observations"].append([0.4]), "observations must be a list of 3"),
-            (lambda d: d.update(observations=None), "observations must be a list of 3"),
+            (in_place(lambda d: d["observations"].pop()), "observations must be a list of 3"),
             (
-                lambda d: d["observation_models"][1].update(c=2.0),
+                in_place(lambda d: d["observation_models"].pop()),
+                "observation_models must be a list",
+            ),
+            (
+                in_place(lambda d: d["observations"].append([0.4])),
+                "observations must be a list of 3",
+            ),
+            (in_place(lambda d: d.update(observations=None)), "observations must be a list of 3"),
+            (
+                in_place(lambda d: d["observation_models"][1].update(c=2.0)),
                 "observation matrix at t=2 has shape ()",
             ),
+            (
+                in_place(lambda d: d["transitions"].__setitem__(1, [[1.0]])),
+                "transitions entry at t=2 must be an object, got array",
+            ),
+            (
+                in_place(lambda d: d["observation_models"].__setitem__(2, [[1.0]])),
+                "observation_models entry at t=3 must be an object or null, got array",
+            ),
+            (
+                in_place(lambda d: d.update(transitions="abc")),
+                "transitions must be an object or a list of objects, got string",
+            ),
+            (in_place(lambda d: d.update(initial=None)), "initial must be an object, got null"),
+            (in_place(lambda d: d.update(horizon=None)), "horizon must be an integer, got null"),
+            (lambda d: [d], "a model must be a JSON object, got array"),
         ],
-        ids=["short-values", "short-sensors", "long-values", "null-values", "scalar-c"],
+        ids=[
+            "short-values",
+            "short-sensors",
+            "long-values",
+            "null-values",
+            "scalar-c",
+            "list-transition",
+            "list-sensor",
+            "string-transitions",
+            "null-initial",
+            "null-horizon",
+            "top-level-list",
+        ],
     )
     def test_malformed_model_file_exits_2_naming_field(self, tmp_path, capsys, edit, message):
         data = model_to_dict(scalar_random_walk(horizon=3, values=[0.1, 0.2, 0.3]))
-        edit(data)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(edit(data)))
         code = main(["run", str(path), "--output", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err

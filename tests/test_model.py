@@ -15,6 +15,7 @@ from gmsmooth.model import (
     model_from_dict,
     model_to_dict,
     simulate,
+    simulate_batch,
     validate,
     wiener_acceleration_model,
 )
@@ -206,8 +207,9 @@ class TestSimulate:
     def test_flat_initial_rejected(self):
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         model.initial = FlatEverywhere()
-        with pytest.raises(ValueError, match="proper initial"):
-            simulate(model, seed=0)
+        for draw in (lambda: simulate(model, seed=0), lambda: simulate_batch(model, [0, 1])):
+            with pytest.raises(ValueError, match="proper initial"):
+                draw()
 
 
 class TestWienerAccelerationModel:

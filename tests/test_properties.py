@@ -1,4 +1,5 @@
-"""Property tests of both backward passes against the dense joint-Gaussian oracle.
+"""Property tests of both backward passes against the dense joint-Gaussian oracle,
+and of the batched simulation against the single-sequence one.
 
 Hypothesis draws the structure of a model -- state dimension n in 1..4,
 observation dimension m in 1..n+2, horizon T in 1..10, and per step whether
@@ -7,8 +8,11 @@ is observed, missing or sensor-less -- and a seed for its numbers. The
 runs are derandomized, so the drawn models are the same on every run.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +25,8 @@ from gmsmooth.model import (
     Proper,
     Transition,
     attach_observations,
+    simulate,
+    simulate_batch,
     validate,
 )
 from gmsmooth.sqrt import sqrt_backward_pass
@@ -124,3 +130,23 @@ def test_batch_matches_single_sequences(model, seed):
                 atol=0.0,
                 err_msg=name,
             )
+
+
+@PROPERTY_SETTINGS
+@pytest.mark.parametrize("offsets", [[0], [0, 1, 2], [0, 1, 0]], ids=["B1", "B3", "repeat"])
+@given(models(), st.integers(0, 2**32 - 1), st.booleans())
+def test_simulate_batch_rows_equal_simulate(offsets, model, seed, zero_prior_cov):
+    # transitions come without noise_chol, as JSON files load them, so zero Q
+    # takes psd_chol's eigh fallback; the demo's prior has zero covariance
+    if zero_prior_cov:
+        model = replace(model, initial=Proper(model.initial.mean, np.zeros_like(model.initial.cov)))
+    seeds = [seed + k for k in offsets]
+    states, observations = simulate_batch(model, seeds)
+    assert states.shape == (len(seeds), model.horizon + 1, model.state_dim)
+    for b, s in enumerate(seeds):
+        states_ref, observations_ref = simulate(model, s)
+        npt.assert_array_equal(states[b], states_ref)
+        for y, y_ref in zip(observations, observations_ref, strict=True):
+            assert (y is None) == (y_ref is None)
+            if y is not None:
+                npt.assert_array_equal(y[b], y_ref)
