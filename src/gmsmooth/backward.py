@@ -30,10 +30,6 @@ from . import linalg
 from .linalg import LOG_2PI
 from .model import Transition
 
-# Negative-eigenvalue slack tolerated when clamping posterior noise
-# covariances; anything worse is a genuine failure.
-_PSD_CLAMP_TOL = 1e-10
-
 
 @dataclass
 class LogQuadLikelihood:
@@ -177,11 +173,7 @@ def _clamp_psd(q):
     except linalg.FactorizationError:
         pass
     w, v = np.linalg.eigh(q)
-    scale = max(1.0, np.max(np.abs(w), initial=0.0))
-    if w.min(initial=0.0) < -_PSD_CLAMP_TOL * scale:
-        raise linalg.FactorizationError(
-            f"posterior noise covariance has eigenvalue {w.min():.3e}"
-        )
+    linalg.check_psd(w)
     if w.min(initial=0.0) < 0.0:
         q = (v * np.clip(w, 0.0, None)[None, :]) @ v.T
         q = 0.5 * (q + q.T)
@@ -289,7 +281,7 @@ def backward_pass(model, predict=predict_backward):
     return BackwardPassResult(likelihood_given_t, likelihood_given_prev, transitions_post)
 
 
-def likelihood_moments(lik, rtol=linalg.DEFAULT_RANK_RTOL):
+def likelihood_moments(lik):
     """Minimum-norm maximizer and pseudo-covariance of a likelihood.
 
     The mean is the minimum-norm maximum likelihood estimate of the state,
@@ -300,7 +292,7 @@ def likelihood_moments(lik, rtol=linalg.DEFAULT_RANK_RTOL):
     if lik.is_empty:
         return DegenerateGaussian(np.zeros(n), np.zeros((n, n)), 0, np.zeros((n, 0)))
     # the basis of range(cov) = row space of c_bar comes from the same SVD
-    c_pinv, rank, basis = linalg.pseudo_inverse(lik.c_bar, rtol)
+    c_pinv, rank, basis = linalg.pseudo_inverse(lik.c_bar)
     mean = lik.y_bar @ c_pinv.T
     cov = c_pinv @ c_pinv.T
     cov = 0.5 * (cov + cov.T)

@@ -168,7 +168,7 @@ def kalman_filter(model):
     return KalmanResult(filtered, predicted, log_l)
 
 
-def rts_smoother(kalman, model, rtol=linalg.DEFAULT_RANK_RTOL):
+def rts_smoother(kalman, model):
     """Rauch-Tung-Striebel smoothing of a Kalman filter output.
 
     Uses a pseudo-inverse smoother gain so singular predictive covariances
@@ -183,7 +183,7 @@ def rts_smoother(kalman, model, rtol=linalg.DEFAULT_RANK_RTOL):
         tr = model.transition(t)
         filt = kalman.filtered[t - 1]
         pred = kalman.predicted[t - 1]
-        pred_pinv, _, _ = linalg.pseudo_inverse(pred.cov, rtol)
+        pred_pinv, _, _ = linalg.pseudo_inverse(pred.cov)
         gain = filt.cov @ tr.phi.T @ pred_pinv
         nxt = smoothed[t]
         mean = filt.mean + gain @ (nxt.mean - pred.mean)
@@ -294,7 +294,7 @@ def future_likelihood_oracle(model, t, x, include_current=True):
     return const - 0.5 * np.sum(white * white, axis=0)
 
 
-def stacked_mle(model, t, rtol=linalg.DEFAULT_RANK_RTOL, backward=None):
+def stacked_mle(model, t, backward=None):
     """Minimum-norm maximum likelihood estimate of x_t from future data.
 
     Maximizes the likelihood of observations at times >= t (falling back to
@@ -307,4 +307,4 @@ def stacked_mle(model, t, rtol=linalg.DEFAULT_RANK_RTOL, backward=None):
         lik = backward.initial_likelihood
     else:
         lik = backward.likelihood_given_t[t - 1]
-    return likelihood_moments(lik, rtol)
+    return likelihood_moments(lik)

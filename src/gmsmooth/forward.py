@@ -25,6 +25,8 @@ from .backward import (
 from .linalg import LOG_2PI
 from .model import FlatEverywhere, FlatOnSupport, Proper
 
+_LEAK_TOL = 1e-6  # off-support distance, relative to 1 + |x - mean|, beyond rounding
+
 
 @dataclass
 class GaussianMarginal:
@@ -51,7 +53,7 @@ class SmoothingResult:
     initial_posterior: object = None  # DegenerateGaussian when degenerate
 
 
-def fuse_initial(lik0, initial, rtol=linalg.DEFAULT_RANK_RTOL):
+def fuse_initial(lik0, initial):
     """Combine the x0-likelihood with the prior by Bayes' rule.
 
     Returns (posterior over x0, log marginal likelihood). A proper prior is
@@ -75,9 +77,9 @@ def fuse_initial(lik0, initial, rtol=linalg.DEFAULT_RANK_RTOL):
         )
         return GaussianMarginal(mean, cov_chol @ cov_chol.T, cov_chol), log_l
 
-    moments = likelihood_moments(lik0, rtol)
+    moments = likelihood_moments(lik0)
     if isinstance(initial, FlatOnSupport):
-        logdet, rank = linalg.pseudo_logdet(moments.cov, rtol)
+        logdet, rank = linalg.pseudo_logdet(moments.cov)
         log_l = lik0.log_c + 0.5 * (rank * LOG_2PI + logdet)
         return moments, log_l
     if isinstance(initial, FlatEverywhere):
@@ -111,7 +113,7 @@ def propagate_marginals(
     )
 
 
-def smooth(model, rtol=linalg.DEFAULT_RANK_RTOL, backward=None):
+def smooth(model, backward=None):
     """Full backward-forward smoothing of a model.
 
     ``backward`` may supply a precomputed :class:`BackwardPassResult` (for
@@ -122,26 +124,26 @@ def smooth(model, rtol=linalg.DEFAULT_RANK_RTOL, backward=None):
     """
     if backward is None:
         backward = backward_pass(model)
-    posterior0, log_l = fuse_initial(backward.initial_likelihood, model.initial, rtol)
+    posterior0, log_l = fuse_initial(backward.initial_likelihood, model.initial)
     return propagate_marginals(posterior0, backward.transitions_post, log_l)
 
 
-def _degenerate_logpdf(x, mean, cov, rtol=linalg.DEFAULT_RANK_RTOL, leak_tol=1e-6):
+def _degenerate_logpdf(x, mean, cov):
     """Log-density of a possibly singular Gaussian on its affine support."""
     x = np.asarray(x, dtype=float).ravel()
     d = x - mean
-    cov_pinv, rank, _ = linalg.pseudo_inverse(cov, rtol)
+    cov_pinv, rank, _ = linalg.pseudo_inverse(cov)
     if rank < cov.shape[0]:
         leak = d - cov @ (cov_pinv @ d)
-        if np.linalg.norm(leak) > leak_tol * (1.0 + np.linalg.norm(d)):
+        if np.linalg.norm(leak) > _LEAK_TOL * (1.0 + np.linalg.norm(d)):
             raise ValueError("point lies off the support of a degenerate Gaussian")
     if rank == 0:
         return 0.0
-    logdet, _ = linalg.pseudo_logdet(cov, rtol)
+    logdet, _ = linalg.pseudo_logdet(cov)
     return -0.5 * (rank * LOG_2PI + logdet + float(d @ cov_pinv @ d))
 
 
-def log_path_posterior(result, path, model=None, rtol=linalg.DEFAULT_RANK_RTOL):
+def log_path_posterior(result, path, model=None):
     """Log-density of a state path under the forward Markov path posterior.
 
     ``result`` must come from a single sequence, not a batch.
@@ -156,8 +158,8 @@ def log_path_posterior(result, path, model=None, rtol=linalg.DEFAULT_RANK_RTOL):
             if x.shape != (model.state_dim,):
                 raise ValueError("path state dimension mismatch")
     first = result.marginals[0]
-    total = _degenerate_logpdf(path[0], first.mean, first.cov, rtol)
+    total = _degenerate_logpdf(path[0], first.mean, first.cov)
     for t, trans in enumerate(result.transitions, start=1):
         mean = trans.phi @ path[t - 1] + trans.offset
-        total += _degenerate_logpdf(path[t], mean, trans.noise_cov, rtol)
+        total += _degenerate_logpdf(path[t], mean, trans.noise_cov)
     return total

@@ -5,8 +5,8 @@ Everything downstream relies on two conventions fixed here:
 * QR upper factors have a non-negative diagonal (sign flips are applied to
   matching rows of U and columns of Q), which makes factorizations
   deterministic and lets log-determinants be read off the diagonal.
-* Rank decisions are relative to the largest singular/eigenvalue, with a
-  shared default threshold.
+* Rank and PSD decisions use one relative tolerance, :data:`RTOL` (rank
+  relative to the largest singular value, PSD by :func:`check_psd`).
 
 Kernel contract: the hot kernels :func:`chol_lower`, :func:`solve_triangular`
 and :func:`qr_r` take finite float arrays of matching shapes and scan
@@ -27,7 +27,7 @@ import scipy.linalg
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-DEFAULT_RANK_RTOL = 1e-10
+RTOL = 1e-10
 
 
 class FactorizationError(ValueError):
@@ -115,27 +115,39 @@ def solve_triangular(l, b, lower=True, trans=False):
     return x
 
 
-def psd_chol(s, rtol=DEFAULT_RANK_RTOL):
+def check_psd(w):
+    """Raise FactorizationError unless eigenvalues ``w`` are those of a PSD matrix.
+
+    An eigenvalue below ``-RTOL * max(1, largest)`` is genuinely negative;
+    smaller negative ones are rounding, which callers clip to zero.
+    """
+    if w.min(initial=0.0) < -RTOL * max(1.0, w.max(initial=0.0)):
+        raise FactorizationError(
+            f"matrix is not positive semi-definite: eigenvalue {w.min():.3e}"
+        )
+
+
+def psd_chol(s):
     """Lower-triangular factor L with L Lᵀ = S for symmetric PSD S.
 
     Falls back to an eigendecomposition-based factor (re-triangularized via
     QR) when the matrix is singular, so zero noise covariances are fine.
     """
     s = _as_matrix(s, "S")
+    if s.shape[0] != s.shape[1]:
+        raise ValueError(f"S must be square, got shape {s.shape}")
     try:
-        return scipy.linalg.cholesky(s, lower=True)
-    except scipy.linalg.LinAlgError:
+        return chol_lower(s)
+    except FactorizationError:
         pass
     w, v = np.linalg.eigh(0.5 * (s + s.T))
-    scale = max(w.max(initial=0.0), 0.0)
-    if w.min(initial=0.0) < -rtol * max(scale, 1.0):
-        raise FactorizationError("matrix is not positive semi-definite")
+    check_psd(w)
     f = v * np.sqrt(np.clip(w, 0.0, None))[None, :]
     # F Fᵀ = S; re-triangularize: Fᵀ = Q U gives S = Uᵀ U.
     return qr_r(f.T).T
 
 
-def pseudo_inverse(a, rtol=DEFAULT_RANK_RTOL):
+def pseudo_inverse(a):
     """Moore-Penrose pseudo-inverse, numerical rank and row-space basis via SVD.
 
     Returns (A^+, rank, V) where the ``rank`` orthonormal columns of V are
@@ -145,22 +157,18 @@ def pseudo_inverse(a, rtol=DEFAULT_RANK_RTOL):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0])), 0, np.zeros((a.shape[1], 0))
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.sum(s > RTOL * s[0]))
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
     return (vt.T * inv[None, :]) @ u.T, rank, vt[:rank, :].T
 
 
-def pseudo_logdet(s, rtol=DEFAULT_RANK_RTOL):
+def pseudo_logdet(s):
     """Sum of log-eigenvalues above the rank threshold, for symmetric PSD S."""
     s = _as_matrix(s, "S")
     w = np.linalg.eigvalsh(0.5 * (s + s.T))
-    scale = np.max(np.abs(w), initial=0.0)
-    if scale > 0.0 and w.min() < -rtol * scale:
-        raise FactorizationError(
-            f"matrix has significantly negative eigenvalue {w.min():.3e}"
-        )
-    kept = w[w > rtol * scale] if scale > 0.0 else w[w > 0.0]
+    check_psd(w)
+    kept = w[w > RTOL * np.max(np.abs(w), initial=0.0)]
     return float(np.sum(np.log(kept))), int(kept.size)
 
 

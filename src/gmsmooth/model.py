@@ -15,7 +15,7 @@ the smoother then runs all B through one structure pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,19 +155,51 @@ def _batch_text(value):
     return "one sequence" if value.ndim == 1 else f"a batch of {value.shape[0]}"
 
 
-def _finite(a, name, violations):
-    """True if ``a`` is unset or finite; otherwise record that it is not."""
-    if a is None or np.isfinite(a).all():
+def _check_array(a, shape, name, violations):
+    """True if ``a`` is unset, or finite and of ``shape`` (if set); else record why not."""
+    if a is None:
         return True
-    violations.append(f"{name} is not finite")
-    return False
+    ok = bool(np.isfinite(a).all())
+    if not ok:
+        violations.append(f"{name} is not finite")
+    if shape is not None and a.shape != shape:
+        violations.append(f"{name} has shape {a.shape}")
+        ok = False
+    return ok
+
+
+def _check_cov(cov, factor, dim, name, factor_name, at, violations, definite=False):
+    """Check a covariance and its factor, if set, in order: both finite and
+    ``(dim, dim)``, the covariance symmetric, PSD by linalg's rule (PD, one
+    Cholesky, if ``definite``) and reconstructed by the factor, each check
+    only if those before it pass. The recursion whitens by a sensor's
+    factor: a definite one must also be lower triangular, diagonal > 0."""
+    ok = _check_array(cov, (dim, dim), name + at, violations)
+    if not (_check_array(factor, (dim, dim), factor_name + at, violations) and ok):
+        return
+    tol = linalg.RTOL * max(1.0, abs(cov).max(initial=0.0))
+    if abs(cov - cov.T).max(initial=0.0) > tol:
+        violations.append(f"{name}{at} not symmetric")
+        return
+    try:
+        chol = (linalg.chol_lower if definite else linalg.psd_chol)(cov)
+    except linalg.FactorizationError:
+        violations.append(f"{name} not {'PD' if definite else 'PSD'}{at}")
+        return
+    if factor is None or np.array_equal(factor, chol):  # the factor the model computed
+        return
+    if abs(factor @ factor.T - cov).max(initial=0.0) > tol:
+        violations.append(f"{factor_name}{at} does not reconstruct covariance")
+    elif definite and not (np.array_equal(factor, np.tril(factor)) and all(np.diag(factor) > 0)):
+        violations.append(f"{factor_name}{at} is not lower triangular with a positive diagonal")
 
 
 def validate(model):
     """Return a list of violation messages; empty list means the model is ok.
 
-    Every model array is checked for finiteness, by name and time index,
-    before any check that factors it; a non-finite covariance skips those.
+    Every model array is checked for finiteness and shape, by name and time
+    index, before any check that factors it; the transition noise, sensor
+    noise and prior covariances all go through :func:`_check_cov`.
     """
     violations = []
     n, big_t = model.state_dim, model.horizon
@@ -181,35 +213,10 @@ def validate(model):
         )
     for t, trans in enumerate(model.transitions, start=1):
         at = f" at t={t}"
-        _finite(trans.phi, "transition matrix" + at, violations)
-        _finite(trans.offset, "transition offset" + at, violations)
-        cov_ok = _finite(
-            trans.noise_cov, "transition noise covariance" + at, violations
-        ) & _finite(trans.noise_chol, "transition noise factor" + at, violations)
-        if trans.phi.shape != (n, n):
-            violations.append(f"transition matrix at t={t} has shape {trans.phi.shape}")
-        if trans.offset.shape != (n,):
-            violations.append(f"transition offset at t={t} has shape {trans.offset.shape}")
-        if trans.noise_cov.shape != (n, n):
-            violations.append(
-                f"transition noise covariance at t={t} has shape {trans.noise_cov.shape}"
-            )
-        elif cov_ok:
-            sym_err = np.max(np.abs(trans.noise_cov - trans.noise_cov.T), initial=0.0)
-            if sym_err > 1e-10 * max(1.0, np.max(np.abs(trans.noise_cov))):
-                violations.append(f"transition noise covariance at t={t} not symmetric")
-            else:
-                w = np.linalg.eigvalsh(trans.noise_cov)
-                if w.min(initial=0.0) < -1e-10 * max(1.0, w.max(initial=0.0)):
-                    violations.append(f"transition noise covariance at t={t} not PSD")
-            if trans.noise_chol is not None:
-                rec = trans.noise_chol @ trans.noise_chol.T
-                if np.max(np.abs(rec - trans.noise_cov)) > 1e-10 * max(
-                    1.0, np.max(np.abs(trans.noise_cov))
-                ):
-                    violations.append(
-                        f"transition noise factor at t={t} does not reconstruct covariance"
-                    )
+        _check_array(trans.phi, (n, n), "transition matrix" + at, violations)
+        _check_array(trans.offset, (n,), "transition offset" + at, violations)
+        _check_cov(trans.noise_cov, trans.noise_chol, n, "transition noise covariance",
+                   "transition noise factor", at, violations)
     n_present = 0
     first = None  # (t, value) of the first present step
     for rec in model.observations:
@@ -219,25 +226,14 @@ def validate(model):
                 violations.append(f"observation value without sensor model at t={t}")
             continue
         obs = rec.model
-        if obs.c.ndim != 2:
+        if obs.c.ndim != 2 or obs.c.shape[0] == 0:  # a sensor has at least one row
             violations.append(f"observation matrix at t={t} has shape {obs.c.shape}")
             continue
         m = obs.c.shape[0]
         at = f" at t={t}"
-        _finite(obs.c, "observation matrix" + at, violations)
-        cov_ok = _finite(
-            obs.noise_cov, "observation covariance" + at, violations
-        ) & _finite(obs.noise_chol, "observation noise factor" + at, violations)
-        if obs.c.shape[1] != n:
-            violations.append(f"observation matrix at t={t} has shape {obs.c.shape}")
-        if obs.noise_cov.shape != (m, m):
-            violations.append(
-                f"observation covariance at t={t} has shape {obs.noise_cov.shape}"
-            )
-        elif cov_ok:
-            w = np.linalg.eigvalsh(0.5 * (obs.noise_cov + obs.noise_cov.T))
-            if w.size == 0 or w.min() <= 0.0:
-                violations.append(f"observation covariance not PD at t={t}")
+        _check_array(obs.c, (m, n), "observation matrix" + at, violations)
+        _check_cov(obs.noise_cov, obs.noise_chol, m, "observation covariance",
+                   "observation noise factor", at, violations, definite=True)
         if rec.value is not None:
             n_present += 1
             value = rec.value
@@ -259,21 +255,12 @@ def validate(model):
                     f"observation value at t={t} holds {_batch_text(value)}, "
                     f"but the value at t={first[0]} holds {_batch_text(first[1])}"
                 )
-            _finite(value, "observation value" + at, violations)
+            _check_array(value, None, "observation value" + at, violations)
     if isinstance(model.initial, Proper):
         init = model.initial
-        _finite(init.mean, "initial mean", violations)
-        cov_ok = _finite(init.cov, "initial covariance", violations) & _finite(
-            init.chol, "initial covariance factor", violations
-        )
-        if init.mean.shape != (n,):
-            violations.append(f"initial mean has shape {init.mean.shape}")
-        if init.cov.shape != (n, n):
-            violations.append(f"initial covariance has shape {init.cov.shape}")
-        elif cov_ok:
-            w = np.linalg.eigvalsh(0.5 * (init.cov + init.cov.T))
-            if w.min(initial=0.0) < -1e-10 * max(1.0, w.max(initial=0.0)):
-                violations.append("initial covariance not PSD")
+        _check_array(init.mean, (n,), "initial mean", violations)
+        _check_cov(init.cov, init.chol, n, "initial covariance",
+                   "initial covariance factor", "", violations)
     if n_present == 0:
         violations.append("model has no non-missing observation")
     return violations
@@ -496,6 +483,13 @@ def _integer(data, key):
         raise ValueError(f"{key} must be an integer, got {_json_type(data[key])}") from None
 
 
+def _array(value, name):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number or a rectangular array of numbers") from None
+
+
 def _check_objects(items, key, nullable=False):
     """Raise a ValueError naming the first per-step entry that is not an object."""
     for t, item in enumerate(items, start=1):
@@ -525,10 +519,11 @@ def model_from_dict(data):
             f"transitions must be an object or a list of objects, got {_json_type(raw_trans)}"
         )
     _check_objects(raw_trans, "transitions")
-    transitions = [
-        Transition(tr["phi"], np.ravel(tr["offset"]), tr["noise_cov"])
-        for tr in raw_trans
-    ]
+    transitions = []
+    keys = ("phi", "offset", "noise_cov")
+    for t, tr in enumerate(raw_trans, start=1):
+        phi, offset, q = (_array(tr[k], f"transition {k} at t={t}") for k in keys)
+        transitions.append(Transition(phi, np.ravel(offset), q))
 
     if "observation_models" in data:
         raw_obs_models = data["observation_models"]
@@ -541,14 +536,16 @@ def model_from_dict(data):
             raise ValueError(f"{key} must be a list of {big_t} entries, one per step")
     _check_objects(raw_obs_models, "observation_models", nullable=True)
     sensors = [
-        None if om is None else ObservationModel(om["c"], om["noise_cov"])
-        for om in raw_obs_models
+        None if om is None else ObservationModel(
+            *(_array(om[k], f"observation model {k} at t={t}") for k in ("c", "noise_cov"))
+        )
+        for t, om in enumerate(raw_obs_models, start=1)
     ]
 
     # The file format holds one sequence: every value is one vector.
     values = [
-        None if v is None else np.ravel(np.asarray(v, dtype=float))
-        for v in raw_values
+        None if v is None else np.ravel(_array(v, f"observations at t={t}"))
+        for t, v in enumerate(raw_values, start=1)
     ]
     records = [
         ObservationRecord(t, sensor, value)
@@ -560,7 +557,7 @@ def model_from_dict(data):
         raise ValueError(f"initial must be an object, got {_json_type(init)}")
     kind = init["kind"]
     if kind == "proper":
-        initial = Proper(init["mean"], init["cov"])
+        initial = Proper(*(_array(init[k], f"initial {k}") for k in ("mean", "cov")))
     elif kind == "flat_on_support":
         initial = FlatOnSupport()
     elif kind == "flat_everywhere":

@@ -43,6 +43,13 @@ def in_place(change):
     return edit
 
 
+def asymmetric_sensor_at_t2(data):
+    """Give the step-2 sensor two rows and an asymmetric noise covariance."""
+    data["observation_models"][1].update(c=[[1.0], [1.0]], noise_cov=[[1.0, 0.5], [0.0, 1.0]])
+    data["observations"][1] = [0.2, 0.2]
+    return data
+
+
 def small_config(tmp_path, **overrides):
     defaults = dict(
         horizon=40,
@@ -278,6 +285,23 @@ class TestRunModelFile:
             (in_place(lambda d: d.update(initial=None)), "initial must be an object, got null"),
             (in_place(lambda d: d.update(horizon=None)), "horizon must be an integer, got null"),
             (lambda d: [d], "a model must be a JSON object, got array"),
+            (
+                in_place(lambda d: d["transitions"][1].update(phi={"a": 1})),
+                "transition phi at t=2 must be a number or a rectangular array",
+            ),
+            (
+                in_place(lambda d: d["transitions"][1].update(phi=[[1.0], [1.0, 2.0]])),
+                "transition phi at t=2 must be a number or a rectangular array",
+            ),
+            (
+                in_place(lambda d: d["observations"].__setitem__(2, {"a": 1})),
+                "observations at t=3 must be a number or a rectangular array",
+            ),
+            (
+                in_place(lambda d: d["initial"].update(mean={"a": 1})),
+                "initial mean must be a number or a rectangular array",
+            ),
+            (asymmetric_sensor_at_t2, "observation covariance at t=2 not symmetric"),
         ],
         ids=[
             "short-values",
@@ -291,6 +315,11 @@ class TestRunModelFile:
             "null-initial",
             "null-horizon",
             "top-level-list",
+            "object-phi",
+            "ragged-phi",
+            "object-value",
+            "object-mean",
+            "asymmetric-noise-cov",
         ],
     )
     def test_malformed_model_file_exits_2_naming_field(self, tmp_path, capsys, edit, message):

@@ -285,3 +285,22 @@ class TestPsdChol:
         l = linalg.psd_chol(s)
         npt.assert_allclose(l @ l.T, s, atol=1e-10 * max(1.0, np.abs(s).max()))
         npt.assert_allclose(l, np.tril(l))
+
+    @pytest.mark.parametrize(
+        "w, psd",
+        [
+            ([1.0, -1e-11], True),
+            ([1.0, -1e-9], False),
+            ([1e-12, -1e-12], True),
+            ([1e12, -50.0], True),
+            ([1e12, -200.0], False),
+        ],
+    )
+    def test_one_psd_rule_with_pseudo_logdet(self, w, psd):
+        # an eigenvalue below -RTOL * max(1, largest) is genuinely negative
+        for factor in (linalg.psd_chol, linalg.pseudo_logdet):
+            if psd:
+                factor(np.diag(w))
+            else:
+                with pytest.raises(linalg.FactorizationError, match="eigenvalue"):
+                    factor(np.diag(w))

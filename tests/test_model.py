@@ -38,6 +38,21 @@ def scalar_random_walk(horizon=3, q=1.0, r=1.0, values=None):
     )
 
 
+ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
+
+
+def sensor_at_t2(model, *args):
+    model.observations[1] = ObservationRecord(2, ObservationModel(*args), np.zeros(2))
+
+
+def prior(model, *args):
+    model.initial = Proper(np.zeros(2), *args)
+
+
+def transition_at_t1(model, *args):
+    model.transitions[0] = Transition(np.eye(2), np.zeros(2), *args)
+
+
 class TestValidate:
     def test_well_formed(self):
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
@@ -130,6 +145,58 @@ class TestValidate:
         model.observations[1] = ObservationRecord(2, sensor, np.array([2.0]))
         assert validate(model) == [message]
 
+    @pytest.mark.parametrize(
+        "put, args, message",
+        [
+            (
+                sensor_at_t2,
+                (np.eye(2), np.eye(2), 3.0 * np.eye(2)),
+                "observation noise factor at t=2 does not reconstruct covariance",
+            ),
+            (
+                prior,
+                (np.eye(2), 3.0 * np.eye(2)),
+                "initial covariance factor does not reconstruct covariance",
+            ),
+            (sensor_at_t2, (np.eye(2), ASYMMETRIC), "observation covariance at t=2 not symmetric"),
+            (prior, (ASYMMETRIC,), "initial covariance not symmetric"),
+            (
+                sensor_at_t2,
+                (np.eye(2), np.eye(2), -np.eye(2)),
+                "observation noise factor at t=2 is not lower triangular with a positive diagonal",
+            ),
+            (
+                sensor_at_t2,
+                (np.eye(2), np.eye(2), [[0.0, 1.0], [1.0, 0.0]]),
+                "observation noise factor at t=2 is not lower triangular with a positive diagonal",
+            ),
+            (
+                transition_at_t1,
+                (np.eye(2), np.eye(2, 3)),
+                "transition noise factor at t=1 has shape (2, 3)",
+            ),
+            (
+                transition_at_t1,
+                (np.diag([1.0, -1.0]),),
+                "transition noise covariance not PSD at t=1",
+            ),
+        ],
+        ids=[
+            "sensor-factor",
+            "prior-factor",
+            "asymmetric-sensor",
+            "asymmetric-prior",
+            "negative-sensor-factor",
+            "full-sensor-factor",
+            "wide-transition-factor",
+            "indefinite-transition",
+        ],
+    )
+    def test_covariance_defect_reported(self, rng, put, args, message):
+        model = random_model(rng, n=2, horizon=3)
+        put(model, *args)
+        assert validate(model) == [message]
+
     def test_batched_values_accepted(self, rng):
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         batched = attach_observations(model, [rng.standard_normal((4, 1)) for _ in range(3)])
@@ -197,9 +264,7 @@ class TestSimulate:
     def test_monte_carlo_state_covariance(self):
         # scalar: Var(x1) = phi^2 sigma0 + q
         model = scalar_random_walk(horizon=1, values=[0.0])
-        samples = np.array(
-            [simulate(model, seed=s)[0][1][0] for s in range(100_000)]
-        )
+        samples = simulate_batch(model, range(100_000))[0][:, 1, 0]
         expected = 2.0  # 1*1*1 + 1
         se = np.sqrt(2.0 * expected**2 / samples.size)  # SE of sample variance
         assert abs(np.var(samples) - expected) < 3.0 * se
