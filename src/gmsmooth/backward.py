@@ -121,7 +121,7 @@ def terminal_init(obs):
     l = sensor.noise_chol
     y_bar = linalg.solve_triangular(l, obs.value.T).T
     c_bar = linalg.solve_triangular(l, sensor.c)
-    log_c = -0.5 * m * LOG_2PI - float(np.sum(np.log(np.diag(l))))
+    log_c = -0.5 * m * LOG_2PI - linalg.log_diag(l)
     return LogQuadLikelihood(log_c, y_bar, c_bar)
 
 
@@ -144,7 +144,7 @@ def array_update(lik, mean, factor):
     m_bar, n = lik.c_bar.shape
     st = factor.T
     pre = np.zeros((m_bar + n, m_bar + n))
-    pre[:m_bar, :m_bar] = np.eye(m_bar)
+    pre.flat[: m_bar * (m_bar + n + 1) : m_bar + n + 1] = 1.0  # I in the top left
     pre[m_bar:, :m_bar] = st @ lik.c_bar.T
     pre[m_bar:, m_bar:] = st
     post_array = linalg.qr_r(pre)
@@ -196,7 +196,8 @@ def predict_backward(lik, trans):
     m_bar = lik.m_bar
 
     cq = c_bar @ q
-    r_hat = np.eye(m_bar) + cq @ c_bar.T
+    r_hat = cq @ c_bar.T
+    r_hat.flat[:: m_bar + 1] += 1.0  # I + C Q C'
     r_hat = 0.5 * (r_hat + r_hat.T)
     try:
         l_hat = linalg.chol_lower(r_hat)
@@ -210,13 +211,15 @@ def predict_backward(lik, trans):
     resid = y_bar - c_bar @ u
     y_new = linalg.solve_triangular(l_hat, resid.T).T
     c_new = linalg.solve_triangular(l_hat, c_bar @ phi)
-    log_c_new = lik.log_c - float(np.sum(np.log(np.diag(l_hat))))
+    log_c_new = lik.log_c - linalg.log_diag(l_hat)
 
     # gain = Q C' R_hat^{-1}, via two triangular solves
     gain = linalg.solve_triangular(
         l_hat, linalg.solve_triangular(l_hat, cq), trans=True
     ).T
-    phi_post = (np.eye(lik.state_dim) - gain @ c_bar) @ phi
+    i_gc = np.subtract(0.0, gain @ c_bar)  # I - G C: 0 - x keeps eye's signed zeros
+    i_gc.flat[:: lik.state_dim + 1] += 1.0
+    phi_post = i_gc @ phi
     u_post = u + resid @ gain.T
     q_post = _clamp_psd(q - gain @ r_hat @ gain.T)
 
@@ -246,7 +249,7 @@ def fuse_observation(lik_prev, obs_lik):
         y_hat, c_hat, log_c = obs_lik.y_bar, obs_lik.c_bar, obs_lik.log_c
     else:
         y_hat = np.concatenate([lik_prev.y_bar, obs_lik.y_bar], axis=-1)
-        c_hat = np.vstack([lik_prev.c_bar, obs_lik.c_bar])
+        c_hat = np.concatenate([lik_prev.c_bar, obs_lik.c_bar])
         log_c = lik_prev.log_c + obs_lik.log_c
     if c_hat.shape[0] <= n:
         return LogQuadLikelihood(log_c, y_hat, c_hat)

@@ -106,7 +106,7 @@ def condition_joint(joint):
     cov = 0.5 * (cov + cov.T)
     evidence = (
         -0.5 * resid.size * linalg.LOG_2PI
-        - float(np.sum(np.log(np.diag(l))))
+        - linalg.log_diag(l)
         - 0.5 * float(white @ white)
     )
     return mean, cov, evidence
@@ -155,7 +155,7 @@ def kalman_filter(model):
             white = linalg.solve_triangular(l, resid)
             log_l += (
                 -0.5 * resid.size * linalg.LOG_2PI
-                - float(np.sum(np.log(np.diag(l))))
+                - linalg.log_diag(l)
                 - 0.5 * float(white @ white)
             )
             gain = linalg.solve_triangular(
@@ -285,7 +285,7 @@ def future_likelihood_oracle(model, t, x, include_current=True):
     if h.shape[0] == 0:
         return np.zeros(x.shape[0]) if batch else 0.0
     l = linalg.chol_lower(s)
-    const = -0.5 * y.size * linalg.LOG_2PI - float(np.sum(np.log(np.diag(l))))
+    const = -0.5 * y.size * linalg.LOG_2PI - linalg.log_diag(l)
     if not batch:
         white = linalg.solve_triangular(l, y - b - h @ x)
         return const - 0.5 * float(white @ white)

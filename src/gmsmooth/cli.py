@@ -54,7 +54,7 @@ def _position_stats(estimates):
     and broadcast over it.
     """
     mean = np.stack([est.mean[..., POSITION] for est in estimates], axis=-2)
-    var = np.array([np.diag(est.cov)[POSITION] for est in estimates])
+    var = np.array([est.cov.diagonal()[POSITION] for est in estimates])
     width = 2.0 * np.sqrt(np.maximum(var, 0.0))
     return mean, np.broadcast_to(width, mean.shape)
 
@@ -215,7 +215,7 @@ def _marginal_rows(marginals):
         rows.append(
             [t]
             + [_cell(v) for v in marg.mean]
-            + [_cell(v) for v in np.diag(marg.cov)]
+            + [_cell(v) for v in marg.cov.diagonal()]
         )
     return rows
 

@@ -72,7 +72,7 @@ def fuse_initial(lik0, initial):
         # log N(y_bar; c_bar mu0, S0) plus the (2pi)^{m_bar/2} carried by h
         log_l = (
             lik0.log_c
-            - float(np.sum(np.log(np.diag(s0_chol))))
+            - linalg.log_diag(s0_chol)
             - 0.5 * (white * white).sum(axis=-1)
         )
         return GaussianMarginal(mean, cov_chol @ cov_chol.T, cov_chol), log_l

@@ -13,14 +13,17 @@ and :func:`qr_r` take finite float arrays of matching shapes and scan
 nothing. Finiteness is checked once, at the boundary: ``model.validate``
 checks every model array and the model constructors factor only finite
 covariances, and everything the recursion derives from a valid model is
-finite. ``chol_lower`` and ``solve_triangular`` call LAPACK ``potrf`` and
-``trtrs`` directly with scipy's own call pattern, so their results are
-bit-identical to ``scipy.linalg.cholesky``/``solve_triangular``, and report
-failures from LAPACK's ``info``. :func:`qr_upper` keeps its finiteness
-check, which its tests pin.
+finite. The kernels call LAPACK ``potrf``, ``trtrs``, ``geqrf`` and ``orgqr``
+directly with scipy's own call pattern, so their results are bit-identical
+to ``scipy.linalg.cholesky``/``solve_triangular``/``qr``; QR factors come back
+C-ordered, as numpy's do, and ``potrf``/``trtrs`` failures are read from
+LAPACK's ``info``. :func:`qr_upper` keeps its finiteness check, which its
+tests pin.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +37,11 @@ class FactorizationError(ValueError):
     """A matrix factorization failed (non-PD pivot, zero diagonal, ...)."""
 
 
-_POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
+_GEQRF, _ORGQR, _POTRF, _TRTRS = scipy.linalg.get_lapack_funcs(
+    ("geqrf", "orgqr", "potrf", "trtrs"), dtype=np.float64
+)
+# QR block size: columns x it is scipy's workspace, which sets the rounding past 128 columns
+_QR_NB = int(max(_GEQRF([[0.0]], lwork=-1)[2][0], _ORGQR([[0.0]], [0.0], lwork=-1)[1][0]))
 
 
 def as_data(x):
@@ -53,17 +60,33 @@ def _as_matrix(a, name="matrix"):
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
 
-def _fix_signs(u):
-    """Flip rows of U in place to make its diagonal non-negative; return the signs."""
-    k = min(u.shape)
-    signs = np.where(np.diag(u)[:k] < 0.0, -1.0, 1.0)
-    u[:k, :] *= signs[:, None]
-    return signs
+@functools.lru_cache(maxsize=64)
+def _strict_lower(shape):
+    """Read-only mask of the entries below the diagonal of a ``shape`` matrix."""
+    mask = np.tri(*shape, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _geqrf(a, rows):
+    """LAPACK QR of A: (raw factor, tau, U, row signs).
+
+    U is a C-ordered copy of the first ``rows`` rows of R, each row whose
+    diagonal entry is < 0.0 flipped; the signs are None when no row was.
+    """
+    qr, tau, _, _ = _GEQRF(a, lwork=max(1, a.shape[1]) * _QR_NB)
+    u = qr[:rows].copy()  # C order, and never a view of what orgqr overwrites
+    np.putmask(u, _strict_lower(u.shape), 0.0)
+    if min(u.diagonal().tolist(), default=0.0) >= 0.0:
+        return qr, tau, u, None
+    signs = np.where(u.diagonal() < 0.0, -1.0, 1.0)
+    u[: signs.size] *= signs[:, None]
+    return qr, tau, u, signs
 
 
 def qr_upper(a, complete=False):
@@ -71,20 +94,27 @@ def qr_upper(a, complete=False):
 
     The diagonal of U is forced non-negative by flipping signs of rows of U
     and the corresponding columns of Q. With ``complete=True`` the full
-    square Q is returned (columns beyond min(m, n) keep numpy's sign).
+    square Q and an (m, n) U are returned, as numpy returns them (columns of
+    Q beyond min(m, n) keep LAPACK's sign).
     """
     a = _as_matrix(a, "A")
-    q, u = np.linalg.qr(a, mode="complete" if complete else "reduced")
-    signs = _fix_signs(u)
-    q[:, : signs.size] *= signs[None, :]
+    (m, n), k = a.shape, min(a.shape)
+    if a.size == 0:
+        raise ValueError("A must not be empty")
+    qr, tau, u, signs = _geqrf(a, m if complete else k)
+    q = qr[:, :k]
+    if complete and m > n:
+        q = np.empty((m, m), order="F")
+        q[:, :n] = qr
+    q = np.ascontiguousarray(_ORGQR(q, tau, lwork=q.shape[1] * _QR_NB, overwrite_a=1)[0])
+    if signs is not None:
+        q[:, :k] *= signs
     return q, u
 
 
 def qr_r(a):
     """Upper factor U of :func:`qr_upper` (same signs), without forming Q."""
-    u = np.linalg.qr(a, mode="r")
-    _fix_signs(u)
-    return u
+    return _geqrf(a, min(a.shape))[2]
 
 
 def chol_lower(s):
@@ -157,7 +187,7 @@ def pseudo_inverse(a):
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0])), 0, np.zeros((a.shape[1], 0))
-    rank = int(np.sum(s > RTOL * s[0]))
+    rank = int((s > RTOL * s[0]).sum())
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
     return (vt.T * inv[None, :]) @ u.T, rank, vt[:rank, :].T
@@ -169,7 +199,7 @@ def pseudo_logdet(s):
     w = np.linalg.eigvalsh(0.5 * (s + s.T))
     check_psd(w)
     kept = w[w > RTOL * np.max(np.abs(w), initial=0.0)]
-    return float(np.sum(np.log(kept))), int(kept.size)
+    return float(np.log(kept).sum()), int(kept.size)
 
 
 def gaussian_logpdf(x, mean, cov):
@@ -178,6 +208,9 @@ def gaussian_logpdf(x, mean, cov):
     mean = np.asarray(mean, dtype=float).ravel()
     l = chol_lower(cov)
     z = solve_triangular(l, x - mean)
-    return -0.5 * (x.size * LOG_2PI + float(z @ z)) - float(
-        np.sum(np.log(np.diag(l)))
-    )
+    return -0.5 * (x.size * LOG_2PI + float(z @ z)) - log_diag(l)
+
+
+def log_diag(l):
+    """Sum of the logs of the diagonal of a triangular factor: log det(L)."""
+    return float(np.log(l.diagonal()).sum())

@@ -36,7 +36,7 @@ def array_predict_backward(lik, trans):
         lik, trans.offset, trans.noise_chol
     )
     c_new = linalg.solve_triangular(r_hat_chol, lik.c_bar @ trans.phi)
-    log_c_new = lik.log_c - float(np.sum(np.log(np.diag(r_hat_chol))))
+    log_c_new = lik.log_c - linalg.log_diag(r_hat_chol)
 
     # gain_hat multiplies the already-whitened quantities (y_new, c_new)
     phi_post = trans.phi - gain_hat @ c_new

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from gmsmooth import linalg
 from gmsmooth.backward import (
@@ -14,7 +17,9 @@ from gmsmooth.backward import (
     terminal_init,
 )
 from gmsmooth.baselines import future_likelihood_oracle
-from gmsmooth.model import ObservationModel, ObservationRecord, Transition
+from gmsmooth.forward import smooth
+from gmsmooth.model import ObservationModel, ObservationRecord, Transition, validate
+from gmsmooth.sqrt import sqrt_backward_pass
 
 from conftest import random_model
 from test_model import scalar_random_walk
@@ -291,6 +296,66 @@ class TestBackwardPass:
                     - result.likelihood_given_prev[t - 1].log_value(x_prev)
                 )
                 npt.assert_allclose(lhs, rhs, atol=1e-8)
+
+
+def _reference_qr_upper(a, complete=False):
+    """The QR kernels' contract from scipy.linalg.qr: non-negative diagonal, C order."""
+    q, r = scipy.linalg.qr(a, mode="full" if complete else "economic")
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    r[: signs.size] *= signs[:, None]
+    q[:, : signs.size] *= signs
+    return np.ascontiguousarray(q), np.ascontiguousarray(r)
+
+
+def _smooth_arrays(model):
+    """Every array of the plain and the square-root smoother's output."""
+    out = []
+    for backward in (None, sqrt_backward_pass(model)):
+        result = smooth(model, backward=backward)
+        for marg in result.marginals:
+            out += [marg.mean, marg.cov, marg.cov_chol]
+        for trans in result.transitions:
+            out += [trans.phi, trans.offset, trans.noise_cov, trans.noise_chol]
+        out.append(result.log_marginal_likelihood)
+    return out
+
+
+class TestRecursionQr:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_smooth_bit_identical_to_reference_qr(self, seed, monkeypatch):
+        # n = 3 with 2-row sensors, some 4-row ones and missing steps: the
+        # fusion stacks past n and compresses, and m > n enters compressed
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n=3, horizon=12, zero_q_frac=0.3, missing_frac=0.3)
+        records = []
+        for rec in model.observations:
+            m = 4 if rec.time_index % 4 == 0 else 2
+            sensor = ObservationModel(rng.standard_normal((m, 3)), np.eye(m) + 0.1)
+            value = None if rec.value is None else rng.standard_normal(m)
+            records.append(ObservationRecord(rec.time_index, sensor, value))
+        model = replace(model, observations=records)
+        assert validate(model) == []
+        production = _smooth_arrays(model)
+
+        calls = {"qr_upper": 0, "qr_r": 0}
+
+        def qr_upper(a, complete=False):
+            calls["qr_upper"] += 1
+            return _reference_qr_upper(a, complete)
+
+        def qr_r(a):
+            calls["qr_r"] += 1
+            return _reference_qr_upper(a)[1]
+
+        monkeypatch.setattr(linalg, "qr_upper", qr_upper)
+        monkeypatch.setattr(linalg, "qr_r", qr_r)
+        reference = _smooth_arrays(model)
+        assert calls["qr_upper"] > 0 and calls["qr_r"] > 0
+        assert len(production) == len(reference)
+        for got, expected in zip(production, reference):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.array_equal(got, expected)
 
 
 class TestLikelihoodMoments:

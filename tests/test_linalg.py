@@ -65,6 +65,99 @@ class TestQrR:
         assert np.array_equal(linalg.qr_r(a), linalg.qr_upper(a)[1])
 
 
+def _scipy_qr(a, mode):
+    """``scipy.linalg.qr`` (same LAPACK routines) with qr_upper's sign rule.
+
+    Rows of R (and columns of Q) whose diagonal entry is < 0.0 are flipped;
+    a -0.0 diagonal is not. ``mode`` is "economic", "full" or "r" (the R of
+    "economic").
+    """
+    if mode == "r":
+        q, r = None, scipy.linalg.qr(a, mode="r")[0][: min(a.shape)]
+    else:
+        q, r = scipy.linalg.qr(a, mode=mode)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    r[: signs.size] *= signs[:, None]
+    if q is not None:
+        q[:, : signs.size] *= signs
+    return q, r
+
+
+_QR_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (3, 7), (7, 3), (8, 6), (6, 8), (14, 14),
+              (16, 9), (9, 16), (16, 16)]
+
+
+def _qr_input(shape, kind, order):
+    a = np.random.default_rng(shape[0] * 17 + shape[1]).standard_normal(shape)
+    if kind == "zero-column":
+        a[:, shape[1] // 2] = 0.0
+    elif kind == "all-zero":
+        a[:] = 0.0
+    elif kind == "negative-zero-diagonal":
+        # geqrf leaves a column (-0.0, 0, ..., 0) alone: its diagonal stays -0.0
+        a[:, 0] = 0.0
+        a[0, 0] = -0.0
+    return np.asarray(a, order=order)
+
+
+class TestQrBitIdenticalToScipy:
+    """The QR kernels call geqrf/orgqr as scipy.linalg.qr does, bit for bit."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize(
+        "kind", ["random", "zero-column", "all-zero", "negative-zero-diagonal"]
+    )
+    @pytest.mark.parametrize("shape", _QR_SHAPES)
+    def test_qr_upper_and_qr_r(self, shape, kind, order):
+        a = _qr_input(shape, kind, order)
+        for complete, mode in ((False, "economic"), (True, "full")):
+            q, u = linalg.qr_upper(a, complete=complete)
+            q_ref, u_ref = _scipy_qr(a, mode)
+            assert np.array_equal(q, q_ref) and np.array_equal(u, u_ref)
+            # tobytes also sees the sign of zero
+            assert q.tobytes() == q_ref.tobytes() and u.tobytes() == u_ref.tobytes()
+            assert q.flags.c_contiguous and u.flags.c_contiguous
+        u = linalg.qr_r(a)
+        u_ref = _scipy_qr(a, "r")[1]
+        assert np.array_equal(u, u_ref) and u.tobytes() == u_ref.tobytes()
+        assert u.flags.c_contiguous
+
+    def test_negative_zero_diagonal_is_not_flipped(self):
+        q, u = linalg.qr_upper(_qr_input((3, 2), "negative-zero-diagonal", "C"))
+        assert u[0, 0] == 0.0 and np.signbit(u[0, 0])
+        assert not np.signbit(q[0, 0])
+
+    @pytest.mark.parametrize("shape", [(150, 140), (140, 150)])
+    def test_blocked_sizes(self, shape):
+        # past 128 columns LAPACK blocks by the workspace it is given
+        a = np.random.default_rng(0).standard_normal(shape)
+        q, u = linalg.qr_upper(a, complete=True)
+        q_ref, u_ref = _scipy_qr(a, "full")
+        assert np.array_equal(q, q_ref) and np.array_equal(u, u_ref)
+        assert np.array_equal(linalg.qr_r(a), _scipy_qr(a, "r")[1])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            linalg.qr_upper(np.zeros((0, 3)))
+
+    def test_input_not_modified(self):
+        a = np.asfortranarray(np.random.default_rng(1).standard_normal((8, 6)))
+        before = a.copy()
+        linalg.qr_upper(a, complete=True)
+        linalg.qr_r(a)
+        assert np.array_equal(a, before)
+
+
+class TestLogDiag:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_sum_of_logs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        l = np.tril(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
+        assert linalg.log_diag(l) == float(np.sum(np.log(np.diag(l))))
+        assert linalg.log_diag(l) == pytest.approx(np.linalg.slogdet(l)[1])
+
+
 class TestCholLower:
     def test_identity(self):
         npt.assert_allclose(linalg.chol_lower(np.eye(2)), np.eye(2))
