@@ -254,7 +254,7 @@ def fuse_observation(lik_prev, obs_lik):
     if c_hat.shape[0] <= n:
         return LogQuadLikelihood(log_c, y_hat, c_hat)
 
-    v, u = linalg.qr_upper(c_hat, complete=True)
+    v, u = linalg.qr_upper(c_hat)
     c_new = u[:n, :]
     y_new = y_hat @ v[:, :n]
     e = y_hat @ v[:, n:]

@@ -4,7 +4,9 @@ The dense joint-Gaussian oracle conditions the whole state trajectory on
 all observations in one shot; it is built purely by linear propagation and
 a single dense conditioning step, never via the recursions it checks. The
 classical Kalman filter, RTS smoother, and two-filter combination provide
-the alternative inference routes for cross-checking.
+the alternative inference routes for cross-checking; the oracle, the
+Kalman update and the two-filter combination share one covariance-form
+conditioning step, which no module of the recursion calls.
 """
 
 from __future__ import annotations
@@ -85,31 +87,38 @@ def build_joint(model, initial=None):
     return JointGaussian(mean, cov, obs_matrix, obs_noise, obs_values, times)
 
 
-def condition_joint(joint):
-    """Condition the joint trajectory on the stacked observations.
+def _condition(mean, cov, h, r, y):
+    """Condition x ~ N(mean, cov) on y = h x + v, v ~ N(0, r).
 
-    Returns (posterior mean, posterior covariance, log evidence).
+    Returns the posterior mean, the symmetrized posterior covariance and
+    the log evidence log N(y; h mean, h cov hᵀ + r).
     """
-    h = joint.obs_matrix
-    if h.shape[0] == 0:
-        return joint.mean.copy(), joint.cov.copy(), 0.0
-    s = h @ joint.cov @ h.T + joint.obs_noise
+    hc = h @ cov
+    s = hc @ h.T + r
     s = 0.5 * (s + s.T)
     l = linalg.chol_lower(s)
-    resid = joint.obs_values - h @ joint.mean
+    resid = y - h @ mean
     white = linalg.solve_triangular(l, resid)
-    gain = linalg.solve_triangular(
-        l, linalg.solve_triangular(l, h @ joint.cov), trans=True
-    ).T
-    mean = joint.mean + gain @ resid
-    cov = joint.cov - gain @ s @ gain.T
-    cov = 0.5 * (cov + cov.T)
+    gain = linalg.solve_triangular(l, linalg.solve_triangular(l, hc), trans=True).T
+    cov = cov - gain @ s @ gain.T
     evidence = (
         -0.5 * resid.size * linalg.LOG_2PI
         - linalg.log_diag(l)
         - 0.5 * float(white @ white)
     )
-    return mean, cov, evidence
+    return mean + gain @ resid, 0.5 * (cov + cov.T), evidence
+
+
+def condition_joint(joint):
+    """Condition the joint trajectory on the stacked observations.
+
+    Returns (posterior mean, posterior covariance, log evidence).
+    """
+    if joint.obs_matrix.shape[0] == 0:
+        return joint.mean.copy(), joint.cov.copy(), 0.0
+    return _condition(
+        joint.mean, joint.cov, joint.obs_matrix, joint.obs_noise, joint.obs_values
+    )
 
 
 def smoothing_oracle(model, initial=None):
@@ -147,23 +156,10 @@ def kalman_filter(model):
         predicted.append(GaussianMarginal(mean, cov))
         rec = model.observation(t)
         if not rec.is_missing:
-            c, r = rec.model.c, rec.model.noise_cov
-            s = c @ cov @ c.T + r
-            s = 0.5 * (s + s.T)
-            l = linalg.chol_lower(s)
-            resid = rec.value - c @ mean
-            white = linalg.solve_triangular(l, resid)
-            log_l += (
-                -0.5 * resid.size * linalg.LOG_2PI
-                - linalg.log_diag(l)
-                - 0.5 * float(white @ white)
+            mean, cov, log_h = _condition(
+                mean, cov, rec.model.c, rec.model.noise_cov, rec.value
             )
-            gain = linalg.solve_triangular(
-                l, linalg.solve_triangular(l, c @ cov), trans=True
-            ).T
-            mean = mean + gain @ resid
-            cov = cov - gain @ s @ gain.T
-            cov = 0.5 * (cov + cov.T)
+            log_l += log_h
         filtered.append(GaussianMarginal(mean, cov))
     return KalmanResult(filtered, predicted, log_l)
 
@@ -201,17 +197,10 @@ def two_filter_combine(filter_marginal, future_lik):
     if future_lik.is_empty:
         return GaussianMarginal(filter_marginal.mean.copy(), filter_marginal.cov.copy())
     c_bar, y_bar = future_lik.c_bar, future_lik.y_bar
-    cov = filter_marginal.cov
-    s = c_bar @ cov @ c_bar.T + np.eye(future_lik.m_bar)
-    s = 0.5 * (s + s.T)
-    l = linalg.chol_lower(s)
-    resid = y_bar - c_bar @ filter_marginal.mean
-    gain = linalg.solve_triangular(
-        l, linalg.solve_triangular(l, c_bar @ cov), trans=True
-    ).T
-    mean = filter_marginal.mean + gain @ resid
-    new_cov = cov - gain @ s @ gain.T
-    return GaussianMarginal(mean, 0.5 * (new_cov + new_cov.T))
+    mean, cov, _ = _condition(
+        filter_marginal.mean, filter_marginal.cov, c_bar, np.eye(future_lik.m_bar), y_bar
+    )
+    return GaussianMarginal(mean, cov)
 
 
 def stacked_observation_map(model, t, include_current=True):

@@ -7,7 +7,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -313,24 +313,20 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="planar tracking demo with a flat prior")
-    demo.add_argument("--dt", type=float, default=1.0)
-    demo.add_argument("--horizon", type=int, default=256)
-    demo.add_argument("--first-obs-index", type=int, default=127)
-    demo.add_argument("--sigma1", type=float, default=1.0)
-    demo.add_argument("--sigma2", type=float, default=1.0)
-    demo.add_argument("--lambda1", type=float, default=1.0)
-    demo.add_argument("--lambda2", type=float, default=1.0)
-    demo.add_argument("--seed", type=int, default=0)
+    # every flag's dest is a DemoConfig field, and its default the field's
+    demo.set_defaults(**asdict(DemoConfig()))
+    for flag in ("--dt", "--sigma1", "--sigma2", "--lambda1", "--lambda2"):
+        demo.add_argument(flag, type=float)
+    for flag in ("--horizon", "--first-obs-index", "--seed", "--replications"):
+        demo.add_argument(flag, type=int)
     demo.add_argument(
         "--reference-initial-state",
         type=float,
         nargs=6,
-        default=[0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
         metavar=("P1", "V1", "A1", "P2", "V2", "A2"),
     )
-    demo.add_argument("--estimator", choices=["smoother", "mle", "both"], default="both")
-    demo.add_argument("--replications", type=int, default=1)
-    demo.add_argument("--output", default="demo.csv")
+    demo.add_argument("--estimator", choices=["smoother", "mle", "both"])
+    demo.add_argument("--output", dest="output_path", metavar="OUTPUT")
 
     run = sub.add_parser("run", help="run a pipeline on a JSON model file")
     run.add_argument("model_file")
@@ -344,24 +340,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "demo":
-            config = DemoConfig(
-                dt=args.dt,
-                horizon=args.horizon,
-                first_obs_index=args.first_obs_index,
-                sigma1=args.sigma1,
-                sigma2=args.sigma2,
-                lambda1=args.lambda1,
-                lambda2=args.lambda2,
-                seed=args.seed,
-                reference_initial_state=tuple(args.reference_initial_state),
-                output_path=args.output,
-                estimator=args.estimator,
-                replications=args.replications,
-            )
-            summary = run_demo(config)
+            values = {f.name: getattr(args, f.name) for f in fields(DemoConfig)}
+            values["reference_initial_state"] = tuple(values["reference_initial_state"])
+            summary = run_demo(DemoConfig(**values))
         else:
             summary = run_model_file(args.model_file, args.pipeline, args.output)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, value in summary.items():

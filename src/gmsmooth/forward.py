@@ -143,21 +143,19 @@ def _degenerate_logpdf(x, mean, cov):
     return -0.5 * (rank * LOG_2PI + logdet + float(d @ cov_pinv @ d))
 
 
-def log_path_posterior(result, path, model=None):
+def log_path_posterior(result, path):
     """Log-density of a state path under the forward Markov path posterior.
 
     ``result`` must come from a single sequence, not a batch.
     """
-    if result.marginals[0].mean.ndim != 1:
+    first = result.marginals[0]
+    if first.mean.ndim != 1:
         raise ValueError("log_path_posterior needs a single-sequence result")
     if len(path) != len(result.transitions) + 1:
         raise ValueError("path must have one state per time index 0..T")
     path = [np.asarray(x, dtype=float).ravel() for x in path]
-    if model is not None:
-        for x in path:
-            if x.shape != (model.state_dim,):
-                raise ValueError("path state dimension mismatch")
-    first = result.marginals[0]
+    if any(x.shape != first.mean.shape for x in path):
+        raise ValueError("path state dimension mismatch")
     total = _degenerate_logpdf(path[0], first.mean, first.cov)
     for t, trans in enumerate(result.transitions, start=1):
         mean = trans.phi @ path[t - 1] + trans.offset

@@ -18,7 +18,9 @@ directly with scipy's own call pattern, so their results are bit-identical
 to ``scipy.linalg.cholesky``/``solve_triangular``/``qr``; QR factors come back
 C-ordered, as numpy's do, and ``potrf``/``trtrs`` failures are read from
 LAPACK's ``info``. :func:`qr_upper` keeps its finiteness check, which its
-tests pin.
+tests pin. ``qr_upper(a)`` is the complete factorization (square Q), and
+``solve_triangular(l, b, trans=False)`` solves with a lower-triangular ``l``
+or its transpose.
 """
 
 from __future__ import annotations
@@ -89,21 +91,21 @@ def _geqrf(a, rows):
     return qr, tau, u, signs
 
 
-def qr_upper(a, complete=False):
-    """QR factorization A = Q U with a deterministic sign convention.
+def qr_upper(a):
+    """Complete QR factorization A = Q U with a deterministic sign convention.
 
-    The diagonal of U is forced non-negative by flipping signs of rows of U
-    and the corresponding columns of Q. With ``complete=True`` the full
-    square Q and an (m, n) U are returned, as numpy returns them (columns of
-    Q beyond min(m, n) keep LAPACK's sign).
+    Q is the full square (m, m) factor and U is (m, n), as numpy's
+    ``mode="complete"`` returns them. The diagonal of U is forced
+    non-negative by flipping signs of rows of U and the corresponding
+    columns of Q; columns of Q beyond min(m, n) keep LAPACK's sign.
     """
     a = _as_matrix(a, "A")
     (m, n), k = a.shape, min(a.shape)
     if a.size == 0:
         raise ValueError("A must not be empty")
-    qr, tau, u, signs = _geqrf(a, m if complete else k)
+    qr, tau, u, signs = _geqrf(a, m)
     q = qr[:, :k]
-    if complete and m > n:
+    if m > n:
         q = np.empty((m, m), order="F")
         q[:, :n] = qr
     q = np.ascontiguousarray(_ORGQR(q, tau, lwork=q.shape[1] * _QR_NB, overwrite_a=1)[0])
@@ -128,16 +130,16 @@ def chol_lower(s):
     return l
 
 
-def solve_triangular(l, b, lower=True, trans=False):
-    """Solve L X = B (or Lᵀ X = B with ``trans=True``) for triangular L."""
+def solve_triangular(l, b, trans=False):
+    """Solve L X = B (or Lᵀ X = B with ``trans=True``) for lower-triangular L."""
     l = np.asarray(l)
     if len(b) != l.shape[0]:
         raise ValueError(f"L of shape {l.shape} and b of length {len(b)} do not match")
     if l.flags.f_contiguous:
-        x, info = _TRTRS(l, b, lower=lower, trans=trans)
+        x, info = _TRTRS(l, b, lower=True, trans=trans)
     else:
         # trtrs reads Fortran order: solve the transposed system, as scipy does
-        x, info = _TRTRS(l.T, b, lower=not lower, trans=not trans)
+        x, info = _TRTRS(l.T, b, lower=False, trans=not trans)
     if info > 0:
         raise FactorizationError(f"zero diagonal element at index {info - 1}")
     if info < 0:

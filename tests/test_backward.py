@@ -339,9 +339,9 @@ class TestRecursionQr:
 
         calls = {"qr_upper": 0, "qr_r": 0}
 
-        def qr_upper(a, complete=False):
+        def qr_upper(a):
             calls["qr_upper"] += 1
-            return _reference_qr_upper(a, complete)
+            return _reference_qr_upper(a, complete=True)
 
         def qr_r(a):
             calls["qr_r"] += 1

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +10,7 @@ from gmsmooth.baselines import build_joint, condition_joint, smoothing_oracle, s
 from gmsmooth.cli import (
     PIPELINES,
     DemoConfig,
+    build_parser,
     main,
     run_demo,
     run_demo_batch,
@@ -152,6 +153,11 @@ class TestDemo:
         assert code == 0
         assert out.exists()
         assert "smooth_rmse_prefix" in capsys.readouterr().out
+
+    def test_parser_defaults_are_demo_config(self):
+        args = build_parser().parse_args(["demo"])
+        for field in fields(DemoConfig):
+            assert getattr(args, field.name) == getattr(DemoConfig(), field.name), field.name
 
 
 class TestMleSmootherCoincidence:

@@ -124,7 +124,7 @@ class TestLogPathPosterior:
             path = [rng.standard_normal(n) for _ in range(model.horizon + 1)]
             flat = np.concatenate(path)
             expected = gaussian_logpdf(flat, mean, cov + 1e-13 * np.eye(cov.shape[0]))
-            got = log_path_posterior(result, path, model)
+            got = log_path_posterior(result, path)
             npt.assert_allclose(got, expected, atol=1e-7)
 
     def test_off_support_point_rejected(self):
@@ -137,6 +137,20 @@ class TestLogPathPosterior:
         with pytest.raises(ValueError, match="off the support"):
             log_path_posterior(result, [np.array([0.0, 1.0])])
 
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_wrong_size_state_rejected(self, horizon):
+        # a length-1 state over n = 2 would broadcast against the mean at t = 0
+        model = random_model(np.random.default_rng(horizon), n=2, horizon=max(horizon, 1))
+        if horizon == 0:
+            result = propagate_marginals(smooth(model).marginals[0], [])
+        else:
+            result = smooth(model)
+        for bad in range(horizon + 1):
+            path = [np.zeros(2) for _ in range(horizon + 1)]
+            path[bad] = np.array([0.3])
+            with pytest.raises(ValueError, match="path state dimension mismatch"):
+                log_path_posterior(result, path)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_bayes_consistency(self, seed):
         # log L + log posterior(path) = log prior(path) + sum log h_t(y_t)
@@ -146,7 +160,7 @@ class TestLogPathPosterior:
         n = model.state_dim
         for _ in range(10):
             path = [rng.standard_normal(n) for _ in range(model.horizon + 1)]
-            lhs = result.log_marginal_likelihood + log_path_posterior(result, path, model)
+            lhs = result.log_marginal_likelihood + log_path_posterior(result, path)
             rhs = gaussian_logpdf(path[0], model.initial.mean, model.initial.cov + 1e-13 * np.eye(n))
             for t in range(1, model.horizon + 1):
                 tr = model.transition(t)

@@ -5,7 +5,8 @@ Hypothesis draws the structure of a model -- state dimension n in 1..4,
 observation dimension m in 1..n+2, horizon T in 1..10, and per step whether
 the transition matrix is singular, the process noise is zero, and the step
 is observed, missing or sensor-less -- and a seed for its numbers. The
-runs are derandomized, so the drawn models are the same on every run.
+runs are derandomized, so the drawn models are the same on every run. Each
+model has a proper prior; the flat-prior test swaps in ``FlatOnSupport``.
 """
 
 from dataclasses import replace
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmsmooth.baselines import smoothing_oracle
+from gmsmooth import linalg
+from gmsmooth.baselines import smoothing_oracle, stacked_observation_map
 from gmsmooth.forward import smooth
 from gmsmooth.model import (
+    FlatOnSupport,
     GaussMarkovModel,
     ObservationModel,
     ObservationRecord,
@@ -108,6 +111,55 @@ def test_smoothing_matches_dense_oracle(model):
             npt.assert_allclose(got.mean, want.mean, rtol=0.0, atol=TOL, err_msg=name)
             npt.assert_allclose(got.cov, want.cov, rtol=0.0, atol=TOL, err_msg=name)
         assert abs(result.log_marginal_likelihood - evidence) <= TOL, name
+
+
+def assert_close(got, want, name):
+    """Agreement to TOL relative to the larger of 1 and want's largest entry."""
+    npt.assert_allclose(
+        got, want, rtol=0.0, atol=TOL * max(1.0, np.abs(want).max(initial=0.0)), err_msg=name
+    )
+
+
+def flat_prior_oracle(model):
+    """Exact x0 posterior and marginals under FlatOnSupport, from dense routes only.
+
+    The x0 posterior is the minimum-norm whitened least-squares fit of the
+    stacked observation map. Marginals at t >= 1 integrate the dense
+    oracle's p(x_t | x0, y) over it: conditioning on x0 = 0 and x0 = e_i
+    (zero-covariance proper priors) gives the affine map x0 -> E[x_t | x0, y]
+    and the conditional covariance, which does not depend on x0.
+    """
+    n = model.state_dim
+    h, b, s, y = stacked_observation_map(model, 0)
+    l = linalg.chol_lower(s)
+    h_pinv, rank, _ = linalg.pseudo_inverse(linalg.solve_triangular(l, h))
+    mean0 = h_pinv @ linalg.solve_triangular(l, y - b)
+    cov0 = h_pinv @ h_pinv.T
+    given = [
+        smoothing_oracle(model, Proper(x0, np.zeros((n, n))))[0]
+        for x0 in np.vstack([np.zeros(n), np.eye(n)])
+    ]
+    marginals = []
+    for t in range(1, model.horizon + 1):
+        offset = given[0][t].mean
+        a = np.column_stack([g[t].mean - offset for g in given[1:]])
+        cov = given[0][t].cov + a @ cov0 @ a.T
+        marginals.append((a @ mean0 + offset, 0.5 * (cov + cov.T)))
+    return (mean0, cov0, rank), marginals
+
+
+@PROPERTY_SETTINGS
+@given(models())
+def test_flat_prior_matches_dense_least_squares(model):
+    model = replace(model, initial=FlatOnSupport())
+    (mean0, cov0, rank), marginals = flat_prior_oracle(model)
+    for name, result in both_passes(model).items():
+        assert result.initial_posterior.rank == rank, name
+        assert_close(result.marginals[0].mean, mean0, name)
+        assert_close(result.marginals[0].cov, cov0, name)
+        for got, (mean, cov) in zip(result.marginals[1:], marginals, strict=True):
+            assert_close(got.mean, mean, name)
+            assert_close(got.cov, cov, name)
 
 
 @PROPERTY_SETTINGS
