@@ -45,7 +45,8 @@ class LogQuadLikelihood:
 
     def __post_init__(self):
         self.y_bar = linalg.as_data(self.y_bar)
-        self.c_bar = np.atleast_2d(np.asarray(self.c_bar, dtype=float))
+        c_bar = np.asarray(self.c_bar, dtype=float)
+        self.c_bar = c_bar if c_bar.ndim >= 2 else np.atleast_2d(c_bar)
         if self.c_bar.shape[0] != self.y_bar.shape[-1]:
             raise ValueError("y_bar and c_bar row counts differ")
 
@@ -110,18 +111,26 @@ class BackwardPassResult:
         return self.likelihood_given_prev[0]
 
 
-def terminal_init(obs):
-    """Whitened single-observation likelihood; the unit likelihood if missing."""
+def terminal_init(obs, whitened=None):
+    """Whitened single-observation likelihood; the unit likelihood if missing.
+
+    Only y_bar = L^{-1} y depends on the value: ``whitened``, a dict kept for
+    one backward pass, holds each sensor's read-only c_bar = L^{-1} C and
+    log_c, so a sensor object shared by many steps is whitened once.
+    """
     if obs.is_missing:
         if obs.model is None:
             raise ValueError("missing observation without a sensor has no state dim")
         return LogQuadLikelihood.empty(obs.model.c.shape[1])
     sensor = obs.model
-    m = sensor.obs_dim
     l = sensor.noise_chol
+    whitened = {} if whitened is None else whitened
+    if id(sensor) not in whitened:  # the entry holds the sensor: no other object takes its id
+        c_bar = linalg.solve_triangular(l, sensor.c)
+        c_bar.flags.writeable = False
+        whitened[id(sensor)] = sensor, c_bar, -0.5 * sensor.obs_dim * LOG_2PI - linalg.log_diag(l)
+    _, c_bar, log_c = whitened[id(sensor)]
     y_bar = linalg.solve_triangular(l, obs.value.T).T
-    c_bar = linalg.solve_triangular(l, sensor.c)
-    log_c = -0.5 * m * LOG_2PI - linalg.log_diag(l)
     return LogQuadLikelihood(log_c, y_bar, c_bar)
 
 
@@ -186,7 +195,8 @@ def predict_backward(lik, trans):
     Maps the likelihood over x_t to the likelihood over x_{t-1} and returns
     the forward posterior transition kernel for x_t given x_{t-1}, a
     :class:`~gmsmooth.model.Transition` like the prior's (the prior's own
-    when no data lies ahead).
+    when no data lies ahead). With L L' = I + C Q C' and the whitened gain
+    W = L^{-1} C Q, the kernel is (phi - W' c_new, u + W' y_new, Q - W' W).
     """
     if lik.is_empty:
         return LogQuadLikelihood.empty(lik.state_dim), trans
@@ -213,15 +223,10 @@ def predict_backward(lik, trans):
     c_new = linalg.solve_triangular(l_hat, c_bar @ phi)
     log_c_new = lik.log_c - linalg.log_diag(l_hat)
 
-    # gain = Q C' R_hat^{-1}, via two triangular solves
-    gain = linalg.solve_triangular(
-        l_hat, linalg.solve_triangular(l_hat, cq), trans=True
-    ).T
-    i_gc = np.subtract(0.0, gain @ c_bar)  # I - G C: 0 - x keeps eye's signed zeros
-    i_gc.flat[:: lik.state_dim + 1] += 1.0
-    phi_post = i_gc @ phi
-    u_post = u + resid @ gain.T
-    q_post = _clamp_psd(q - gain @ r_hat @ gain.T)
+    w = linalg.solve_triangular(l_hat, cq)
+    phi_post = phi - w.T @ c_new
+    u_post = u + y_new @ w
+    q_post = _clamp_psd(q - w.T @ w)
 
     lik_prev = LogQuadLikelihood(log_c_new, y_new, c_new)
     return lik_prev, Transition(phi_post, u_post, q_post)
@@ -272,10 +277,11 @@ def backward_pass(model, predict=predict_backward):
     likelihood_given_prev = [None] * big_t
     transitions_post = [None] * big_t
 
-    lik = LogQuadLikelihood.empty(n)  # h over x_T with no data yet
+    unit = lik = LogQuadLikelihood.empty(n)  # h over x_T with no data yet
+    whitened = {}
     for t in range(big_t, 0, -1):
         rec = model.observation(t)
-        obs_lik = LogQuadLikelihood.empty(n) if rec.is_missing else terminal_init(rec)
+        obs_lik = unit if rec.is_missing else terminal_init(rec, whitened)
         lik_t = fuse_observation(lik, obs_lik)
         likelihood_given_t[t - 1] = lik_t
         lik, post = predict(lik_t, model.transition(t))

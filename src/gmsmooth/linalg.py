@@ -31,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+_FLOAT = np.dtype(float)
 
 RTOL = 1e-10
 
@@ -51,7 +52,10 @@ def as_data(x):
 
     Inputs with fewer than two axes are raveled to a vector, so scalars and
     lists keep their single-sequence meaning; a leading batch axis is kept.
+    A C-ordered float array of one or two axes is returned as it is.
     """
+    if type(x) is np.ndarray and x.dtype is _FLOAT and 0 < x.ndim < 3 and x.flags.c_contiguous:
+        return x
     x = np.asarray(x, dtype=float)
     return x.ravel() if x.ndim < 2 else x
 

@@ -500,6 +500,16 @@ def _check_objects(items, key, nullable=False):
             )
 
 
+def _once_per_object(items, build):
+    """``[build(t, item) for t, item in enumerate(items, start=1)]`` with one call
+    per distinct item: a time-invariant model gets one shared object, not T copies."""
+    built = {}
+    for t, item in enumerate(items, start=1):
+        if id(item) not in built:
+            built[id(item)] = build(t, item)
+    return [built[id(item)] for item in items]
+
+
 def model_from_dict(data):
     """Parse a model from the JSON schema; see :func:`model_to_dict`.
 
@@ -519,11 +529,13 @@ def model_from_dict(data):
             f"transitions must be an object or a list of objects, got {_json_type(raw_trans)}"
         )
     _check_objects(raw_trans, "transitions")
-    transitions = []
-    keys = ("phi", "offset", "noise_cov")
-    for t, tr in enumerate(raw_trans, start=1):
+
+    def transition(t, tr):
+        keys = ("phi", "offset", "noise_cov")
         phi, offset, q = (_array(tr[k], f"transition {k} at t={t}") for k in keys)
-        transitions.append(Transition(phi, np.ravel(offset), q))
+        return Transition(phi, np.ravel(offset), q)
+
+    transitions = _once_per_object(raw_trans, transition)
 
     if "observation_models" in data:
         raw_obs_models = data["observation_models"]
@@ -535,12 +547,12 @@ def model_from_dict(data):
         if not isinstance(items, list) or len(items) != big_t:
             raise ValueError(f"{key} must be a list of {big_t} entries, one per step")
     _check_objects(raw_obs_models, "observation_models", nullable=True)
-    sensors = [
-        None if om is None else ObservationModel(
+    sensors = _once_per_object(
+        raw_obs_models,
+        lambda t, om: None if om is None else ObservationModel(
             *(_array(om[k], f"observation model {k} at t={t}") for k in ("c", "noise_cov"))
-        )
-        for t, om in enumerate(raw_obs_models, start=1)
-    ]
+        ),
+    )
 
     # The file format holds one sequence: every value is one vector.
     values = [

@@ -22,7 +22,7 @@ from .backward import (
     backward_pass,
 )
 from .forward import GaussianMarginal
-from .model import Transition
+from .model import Transition, _once_per_object
 
 
 def array_predict_backward(lik, trans):
@@ -51,9 +51,9 @@ def sqrt_backward_pass(model):
     """Backward recursion with all predictions in array form.
 
     Transitions without a noise factor (for example from a JSON model file)
-    are factored once up front.
+    are factored up front, once per distinct transition object.
     """
-    transitions = [trans.with_noise_chol() for trans in model.transitions]
+    transitions = _once_per_object(model.transitions, lambda t, trans: trans.with_noise_chol())
     return backward_pass(
         replace(model, transitions=transitions), predict=array_predict_backward
     )

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,14 @@ from gmsmooth.backward import (
 )
 from gmsmooth.baselines import future_likelihood_oracle
 from gmsmooth.forward import smooth
-from gmsmooth.model import ObservationModel, ObservationRecord, Transition, validate
+from gmsmooth.model import (
+    ObservationModel,
+    ObservationRecord,
+    Transition,
+    attach_observations,
+    validate,
+    wiener_acceleration_model,
+)
 from gmsmooth.sqrt import sqrt_backward_pass
 
 from conftest import random_model
@@ -54,6 +62,21 @@ class TestTerminalInit:
     def test_missing_without_sensor_raises(self):
         with pytest.raises(ValueError, match="no state dim"):
             terminal_init(ObservationRecord(1))
+
+    def test_whitens_each_sensor_object_once(self, rng):
+        sensor = ObservationModel(rng.standard_normal((2, 3)), np.diag([4.0, 9.0]))
+        twin = copy.deepcopy(sensor)
+        whitened = {}
+        first = terminal_init(ObservationRecord(1, sensor, [1.0, 2.0]), whitened)
+        again = terminal_init(ObservationRecord(2, sensor, [3.0, 4.0]), whitened)
+        other = terminal_init(ObservationRecord(3, twin, [1.0, 2.0]), whitened)
+        assert again.c_bar is first.c_bar and other.c_bar is not first.c_bar
+        assert len(whitened) == 2
+        assert not first.c_bar.flags.writeable  # shared by the steps, so read-only
+        uncached = terminal_init(ObservationRecord(2, sensor, [3.0, 4.0]))
+        for got, want in ((again, uncached), (other, first)):
+            assert got.log_c == want.log_c
+            assert np.array_equal(got.y_bar, want.y_bar) and np.array_equal(got.c_bar, want.c_bar)
 
 
 class TestArrayUpdate:
@@ -144,6 +167,51 @@ class TestPredictBackward:
         npt.assert_allclose(post.phi, np.eye(n), atol=1e-12)
         npt.assert_allclose(post.offset, u0, atol=1e-12)
         npt.assert_allclose(post.noise_cov, np.zeros((n, n)), atol=1e-12)
+
+
+def _textbook_kernel(lik, trans):
+    """Posterior kernel from the unwhitened gain G = Q C' R_hat^{-1}, by np.linalg.solve."""
+    c, q, phi, u = lik.c_bar, trans.noise_cov, trans.phi, trans.offset
+    r_hat = np.eye(lik.m_bar) + c @ q @ c.T
+    gain = np.linalg.solve(r_hat, c @ q).T
+    resid = lik.y_bar - c @ u
+    return (
+        (np.eye(lik.state_dim) - gain @ c) @ phi,
+        u + resid @ gain.T,
+        q - gain @ r_hat @ gain.T,
+    )
+
+
+class TestPosteriorKernel:
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("zero_q", [False, True])
+    @pytest.mark.parametrize("singular_phi", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_whitened_gain_matches_textbook_gain(self, batch, zero_q, singular_phi, seed):
+        rng = np.random.default_rng(seed)
+        n, m_bar = 4, 1 + seed
+        phi = rng.standard_normal((n, n))
+        if singular_phi:
+            phi[1, :] = 0.0
+        a = rng.standard_normal((n, n))
+        q = np.zeros((n, n)) if zero_q else a @ a.T
+        trans = Transition(phi, rng.standard_normal(n), q)
+        shape = (m_bar,) if batch is None else (batch, m_bar)
+        lik = LogQuadLikelihood(0.3, rng.standard_normal(shape), rng.standard_normal((m_bar, n)))
+        _, post = predict_backward(lik, trans)
+        expected = _textbook_kernel(lik, trans)
+        assert post.offset.shape == expected[1].shape
+        for got, want in zip((post.phi, post.offset, post.noise_cov), expected):
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_zero_noise_keeps_prior_kernel_exactly(self, rng):
+        lik = LogQuadLikelihood(0.0, rng.standard_normal(2), rng.standard_normal((2, 3)))
+        trans = Transition(rng.standard_normal((3, 3)), rng.standard_normal(3), np.zeros((3, 3)))
+        _, post = predict_backward(lik, trans)
+        assert np.array_equal(post.phi, trans.phi)
+        assert np.array_equal(post.offset, trans.offset)
+        assert not post.noise_cov.any()
 
 
 class TestFuseObservation:
@@ -296,6 +364,69 @@ class TestBackwardPass:
                     - result.likelihood_given_prev[t - 1].log_value(x_prev)
                 )
                 npt.assert_allclose(lhs, rhs, atol=1e-8)
+
+
+def _pass_bytes(result):
+    """Every number of a backward pass, as bytes, in order."""
+    out = []
+    for lik in result.likelihood_given_t + result.likelihood_given_prev:
+        out += [np.asarray(lik.log_c).tobytes(), lik.y_bar.tobytes(), lik.c_bar.tobytes()]
+    for post in result.transitions_post:
+        out += [post.phi.tobytes(), post.offset.tobytes(), post.noise_cov.tobytes()]
+    return out
+
+
+def _uncached_pass(model):
+    """backward_pass's loop with every observation whitened afresh."""
+    n, big_t = model.state_dim, model.horizon
+    given_t, given_prev, posts = [None] * big_t, [None] * big_t, [None] * big_t
+    lik = LogQuadLikelihood.empty(n)
+    for t in range(big_t, 0, -1):
+        rec = model.observation(t)
+        obs = LogQuadLikelihood.empty(n) if rec.is_missing else terminal_init(rec)
+        given_t[t - 1] = fuse_observation(lik, obs)
+        lik, posts[t - 1] = predict_backward(given_t[t - 1], model.transition(t))
+        given_prev[t - 1] = lik
+    return replace(backward_pass(model), likelihood_given_t=given_t,
+                   likelihood_given_prev=given_prev, transitions_post=posts)
+
+
+def _tracking_model(rng, horizon=12, batch=None):
+    """The shared-object tracking model (one sensor, one transition) with random data."""
+    model = wiener_acceleration_model(1.0, (1.0, 2.0), (0.5, 1.5), horizon, 3)
+    shape = (2,) if batch is None else (batch, 2)
+    values = [None if rec.model is None else rng.standard_normal(shape)
+              for rec in model.observations]
+    return attach_observations(model, values)
+
+
+def _with_sensors(model, sensors):
+    records = [replace(rec, model=s) for rec, s in zip(model.observations, sensors)]
+    return replace(model, observations=records)
+
+
+class TestWhiteningOncePerPass:
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_shared_sensor_matches_per_step_copies(self, rng, batch):
+        model = _tracking_model(rng, batch=batch)
+        copies = _with_sensors(model, [copy.deepcopy(rec.model) for rec in model.observations])
+        assert copies.observation(5).model is not copies.observation(6).model
+        shared = _pass_bytes(backward_pass(model))
+        assert shared == _pass_bytes(backward_pass(copies))
+        assert shared == _pass_bytes(_uncached_pass(model))
+
+    def test_alternating_sensors_never_mixed(self, rng):
+        model = _tracking_model(rng)
+        sensor_a = model.observation(12).model
+        sensor_b = ObservationModel(sensor_a.c, [[4.0, 0.5], [0.5, 0.25]])
+        sensors = [None if rec.model is None else (sensor_a, sensor_b)[rec.time_index % 2]
+                   for rec in model.observations]
+        alternating = _with_sensors(model, sensors)
+        copies = _with_sensors(model, [copy.deepcopy(s) for s in sensors])
+        result = _pass_bytes(backward_pass(alternating))
+        assert result == _pass_bytes(backward_pass(copies))
+        assert result == _pass_bytes(_uncached_pass(alternating))
+        assert result != _pass_bytes(backward_pass(model))  # sensor_a at every step
 
 
 def _reference_qr_upper(a, complete=False):

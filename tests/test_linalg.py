@@ -146,6 +146,22 @@ class TestQrBitIdenticalToScipy:
         assert np.array_equal(a, before)
 
 
+class TestAsData:
+    def test_float_arrays_kept_as_they_are(self):
+        for x in (np.arange(3.0), np.ones((2, 3))):
+            assert linalg.as_data(x) is x
+
+    def test_other_inputs_converted(self):
+        strided = np.arange(6.0)[::2]
+        out = linalg.as_data(strided)
+        assert out.flags.c_contiguous and np.array_equal(out, [0.0, 2.0, 4.0])
+        assert linalg.as_data(2).shape == (1,)
+        assert linalg.as_data(np.arange(3)).dtype == float
+        assert linalg.as_data([[1, 2]]).shape == (1, 2)
+        column = np.ones((3, 2), order="F")
+        assert linalg.as_data(column) is column  # a batch axis is kept, in any order
+
+
 class TestLogDiag:
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_identical_to_sum_of_logs(self, seed):

@@ -20,6 +20,9 @@ from gmsmooth.model import (
     wiener_acceleration_model,
 )
 
+from gmsmooth.forward import smooth
+from gmsmooth.sqrt import sqrt_backward_pass
+
 from conftest import random_model
 
 
@@ -386,6 +389,47 @@ class TestJsonRoundTrip:
         assert model.observation(2).value is None
         npt.assert_allclose(model.observation(3).value, [1.5])
         assert validate(model) == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_time_invariant_form_builds_one_object(self, seed):
+        rng = np.random.default_rng(seed)
+        n, big_t = 3, 9
+        a = rng.standard_normal((n, n))
+        trans = {
+            "phi": rng.standard_normal((n, n)).tolist(),
+            "offset": rng.standard_normal(n).tolist(),
+            "noise_cov": (a @ a.T).tolist(),
+        }
+        sensor = {"c": rng.standard_normal((2, n)).tolist(), "noise_cov": [[2.0, 0.3], [0.3, 1.0]]}
+        data = {
+            "state_dim": n,
+            "horizon": big_t,
+            "transitions": trans,
+            "observation_model": sensor,
+            "observations": [None if t % 4 == 1 else rng.standard_normal(2).tolist()
+                             for t in range(big_t)],
+            "initial": {"kind": "proper", "mean": [0.0] * n, "cov": np.eye(n).tolist()},
+        }
+        model = model_from_dict(data)
+        assert model.transitions[0] is model.transitions[-1]
+        assert model.observation(1).model is model.observation(big_t).model
+        per_step = dict(data, transitions=[dict(trans) for _ in range(big_t)])
+        del per_step["observation_model"]
+        per_step["observation_models"] = [dict(sensor) for _ in range(big_t)]
+        expanded = model_from_dict(per_step)
+        assert expanded.transitions[0] is not expanded.transitions[1]
+        for mdl in (model, expanded):
+            assert validate(mdl) == []
+
+        def outputs(mdl):
+            out = []
+            for backward in (None, sqrt_backward_pass(mdl)):
+                result = smooth(mdl, backward=backward)
+                out.append(np.float64(result.log_marginal_likelihood).tobytes())
+                out += [m.mean.tobytes() + m.cov.tobytes() for m in result.marginals]
+            return out
+
+        assert outputs(model) == outputs(expanded)
 
     def test_nested_value_read_as_one_sequence(self):
         data = model_to_dict(scalar_random_walk(values=[1.0, 2.0, 3.0]))

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gmsmooth import linalg
 from gmsmooth.backward import LogQuadLikelihood, backward_pass, predict_backward
 from gmsmooth.baselines import future_likelihood_oracle, two_filter_combine
 from gmsmooth.forward import GaussianMarginal, fuse_initial, smooth
@@ -219,6 +220,22 @@ class TestPlainSqrtEquivalence:
             npt.assert_allclose(tb.phi, ta.phi, atol=1e-8)
             npt.assert_allclose(tb.offset, ta.offset, atol=1e-8)
             npt.assert_allclose(tb.noise_cov, ta.noise_cov, atol=1e-8)
+
+    def test_each_distinct_transition_factored_once(self, monkeypatch):
+        data = model_to_dict(wiener_acceleration_model(1.0, (1.0, 1.0), (1.0, 1.0), 6, 2))
+        data["observations"] = [None] + [[0.1 * t, -0.2 * t] for t in range(1, 6)]
+        data["initial"] = {"kind": "proper", "mean": [0.0] * 6, "cov": np.eye(6).tolist()}
+        expanded = model_from_dict(data)
+        shared = model_from_dict(dict(data, transitions=data["transitions"][0]))
+        calls = []
+        monkeypatch.setattr(linalg, "psd_chol", lambda s: calls.append(s) or chol_lower(s))
+        counts = []
+        for model in (shared, expanded):
+            calls.clear()
+            result = sqrt_backward_pass(model)
+            counts.append(len(calls))
+            assert all(post.noise_chol is not None for post in result.transitions_post)
+        assert counts == [1, 6]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_json_model_without_noise_factor(self, seed):
