@@ -189,6 +189,19 @@ def _clamp_psd(q):
     return q
 
 
+def _posterior_step(lik, trans, l, gain, y_new, noise_cov, noise_chol):
+    """The assembly both predictions share once each has folded in the noise.
+
+    From the innovation factor L (L L' = I + C Q C'), the whitened gain K and
+    the whitened residual y_new: c_new = L^{-1} C phi, log_c - log det L and
+    the kernel (phi - K c_new, u + K y_new) with the given noise."""
+    c_new = linalg.solve_triangular(l, lik.c_bar @ trans.phi)
+    lik_prev = LogQuadLikelihood(lik.log_c - linalg.log_diag(l), y_new, c_new)
+    phi_post = trans.phi - gain @ c_new
+    u_post = trans.offset + y_new @ gain.T
+    return lik_prev, Transition(phi_post, u_post, noise_cov, noise_chol)
+
+
 def predict_backward(lik, trans):
     """One backward prediction through a transition.
 
@@ -201,13 +214,10 @@ def predict_backward(lik, trans):
     if lik.is_empty:
         return LogQuadLikelihood.empty(lik.state_dim), trans
 
-    c_bar, y_bar = lik.c_bar, lik.y_bar
-    q, phi, u = trans.noise_cov, trans.phi, trans.offset
-    m_bar = lik.m_bar
-
+    c_bar, q = lik.c_bar, trans.noise_cov
     cq = c_bar @ q
     r_hat = cq @ c_bar.T
-    r_hat.flat[:: m_bar + 1] += 1.0  # I + C Q C'
+    r_hat.flat[:: lik.m_bar + 1] += 1.0  # I + C Q C'
     r_hat = 0.5 * (r_hat + r_hat.T)
     try:
         l_hat = linalg.chol_lower(r_hat)
@@ -218,18 +228,10 @@ def predict_backward(lik, trans):
             "definiteness"
         ) from exc
 
-    resid = y_bar - c_bar @ u
+    resid = lik.y_bar - c_bar @ trans.offset
     y_new = linalg.solve_triangular(l_hat, resid.T).T
-    c_new = linalg.solve_triangular(l_hat, c_bar @ phi)
-    log_c_new = lik.log_c - linalg.log_diag(l_hat)
-
     w = linalg.solve_triangular(l_hat, cq)
-    phi_post = phi - w.T @ c_new
-    u_post = u + y_new @ w
-    q_post = _clamp_psd(q - w.T @ w)
-
-    lik_prev = LogQuadLikelihood(log_c_new, y_new, c_new)
-    return lik_prev, Transition(phi_post, u_post, q_post)
+    return _posterior_step(lik, trans, l_hat, w.T, y_new, _clamp_psd(q - w.T @ w), None)
 
 
 def fuse_observation(lik_prev, obs_lik):

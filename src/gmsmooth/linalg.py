@@ -8,19 +8,18 @@ Everything downstream relies on two conventions fixed here:
 * Rank and PSD decisions use one relative tolerance, :data:`RTOL` (rank
   relative to the largest singular value, PSD by :func:`check_psd`).
 
-Kernel contract: the hot kernels :func:`chol_lower`, :func:`solve_triangular`
-and :func:`qr_r` take finite float arrays of matching shapes and scan
-nothing. Finiteness is checked once, at the boundary: ``model.validate``
-checks every model array and the model constructors factor only finite
-covariances, and everything the recursion derives from a valid model is
-finite. The kernels call LAPACK ``potrf``, ``trtrs``, ``geqrf`` and ``orgqr``
-directly with scipy's own call pattern, so their results are bit-identical
-to ``scipy.linalg.cholesky``/``solve_triangular``/``qr``; QR factors come back
-C-ordered, as numpy's do, and ``potrf``/``trtrs`` failures are read from
-LAPACK's ``info``. :func:`qr_upper` keeps its finiteness check, which its
-tests pin. ``qr_upper(a)`` is the complete factorization (square Q), and
-``solve_triangular(l, b, trans=False)`` solves with a lower-triangular ``l``
-or its transpose.
+Kernel contract: the hot kernels :func:`chol_lower`, :func:`solve_triangular`,
+:func:`qr_r` and :func:`qr_upper` take finite float arrays of matching shapes
+and scan nothing. Finiteness is checked once, at the boundary:
+``model.validate`` checks every model array and the model constructors factor
+only finite covariances, and everything the recursion derives from a valid
+model is finite. The kernels call LAPACK ``potrf``, ``trtrs``, ``geqrf`` and
+``orgqr`` directly with scipy's own call pattern, so their results are
+bit-identical to ``scipy.linalg.cholesky``/``solve_triangular``/``qr``; QR
+factors come back C-ordered, as numpy's do, and ``potrf``/``trtrs`` failures
+are read from LAPACK's ``info``. ``qr_upper(a)`` is the complete
+factorization (square Q), and ``solve_triangular(l, b, trans=False)`` solves
+with a lower-triangular ``l`` or its transpose.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ def qr_upper(a):
     non-negative by flipping signs of rows of U and the corresponding
     columns of Q; columns of Q beyond min(m, n) keep LAPACK's sign.
     """
-    a = _as_matrix(a, "A")
     (m, n), k = a.shape, min(a.shape)
     if a.size == 0:
         raise ValueError("A must not be empty")

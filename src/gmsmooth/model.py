@@ -144,10 +144,14 @@ class GaussMarkovModel:
 
     def transition(self, t):
         """Transition taking x_{t-1} to x_t, for t = 1..T."""
+        if t < 1:  # a negative list index would count back from step T
+            raise IndexError(f"no transition at t={t}: t runs over 1..{self.horizon}")
         return self.transitions[t - 1]
 
     def observation(self, t):
         """Observation record at time t, for t = 1..T."""
+        if t < 1:
+            raise IndexError(f"no observation at t={t}: t runs over 1..{self.horizon}")
         return self.observations[t - 1]
 
 
@@ -434,6 +438,12 @@ def wiener_acceleration_model(dt, sigmas, lambdas, horizon, first_obs_index):
 
 def model_to_dict(model):
     """Serialize a model to the JSON schema (always in expanded per-step form)."""
+    for rec in model.observations:
+        if rec.value is not None and rec.value.ndim != 1:
+            raise ValueError(
+                f"observation value at t={rec.time_index} holds {_batch_text(rec.value)}, "
+                "but a model file holds one sequence"
+            )
     if isinstance(model.initial, Proper):
         initial = {
             "kind": "proper",
@@ -587,6 +597,7 @@ def load_model(path):
 
 
 def save_model(model, path):
+    data = model_to_dict(model)  # raises before the file is opened
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -1,12 +1,12 @@
 """Square-root (array) variant of the backward recursion.
 
-Covariances are never formed: each prediction step is one
-:func:`~gmsmooth.backward.array_update` of the likelihood by the transition
-noise factor, whose QR-factored pre-array yields triangular factors of the
-innovation covariance and of the posterior transition noise together with
-the whitened gain. Fusion steps involve no covariances at all and are shared
-with the plain module; the fusion with a proper prior uses the same kernel
-(see :func:`~gmsmooth.forward.fuse_initial`).
+Covariances are never formed: each prediction folds the transition noise in
+by one :func:`~gmsmooth.backward.array_update`, whose QR-factored pre-array
+yields triangular factors of the innovation covariance and of the posterior
+noise with the whitened gain; only this fold differs from the plain
+prediction. Fusion steps involve no covariances and are shared with the plain
+module; the fusion with a proper prior uses the same kernel (see
+:func:`~gmsmooth.forward.fuse_initial`).
 """
 
 from __future__ import annotations
@@ -16,13 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import linalg
-from .backward import (
-    LogQuadLikelihood,
-    array_update,
-    backward_pass,
-)
+from .backward import LogQuadLikelihood, _posterior_step, array_update, backward_pass
 from .forward import GaussianMarginal
-from .model import Transition, _once_per_object
+from .model import _once_per_object
 
 
 def array_predict_backward(lik, trans):
@@ -32,19 +28,10 @@ def array_predict_backward(lik, trans):
     if lik.is_empty:
         return LogQuadLikelihood.empty(lik.state_dim), trans
 
-    r_hat_chol, gain_hat, q_post_chol, y_new = array_update(
-        lik, trans.offset, trans.noise_chol
+    r_hat_chol, gain_hat, post_chol, y_new = array_update(lik, trans.offset, trans.noise_chol)
+    return _posterior_step(
+        lik, trans, r_hat_chol, gain_hat, y_new, post_chol @ post_chol.T, post_chol
     )
-    c_new = linalg.solve_triangular(r_hat_chol, lik.c_bar @ trans.phi)
-    log_c_new = lik.log_c - linalg.log_diag(r_hat_chol)
-
-    # gain_hat multiplies the already-whitened quantities (y_new, c_new)
-    phi_post = trans.phi - gain_hat @ c_new
-    u_post = trans.offset + y_new @ gain_hat.T
-    cov_post = q_post_chol @ q_post_chol.T
-
-    lik_prev = LogQuadLikelihood(log_c_new, y_new, c_new)
-    return lik_prev, Transition(phi_post, u_post, cov_post, q_post_chol)
 
 
 def sqrt_backward_pass(model):

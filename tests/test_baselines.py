@@ -92,6 +92,10 @@ class TestKalmanFilter:
                 marg.cov, joint.cov[t * n : (t + 1) * n, t * n : (t + 1) * n], atol=1e-10
             )
 
+    def test_flat_prior_rejected(self, rng):
+        with pytest.raises(ValueError, match="proper initial"):
+            kalman_filter(random_model(rng, initial=FlatEverywhere()))
+
     def test_scalar_walk_update(self):
         model = scalar_random_walk(horizon=1, values=[1.0])
         result = kalman_filter(model)

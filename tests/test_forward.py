@@ -151,6 +151,12 @@ class TestLogPathPosterior:
             with pytest.raises(ValueError, match="path state dimension mismatch"):
                 log_path_posterior(result, path)
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_wrong_path_length_rejected(self, length):
+        result = smooth(random_model(np.random.default_rng(0), n=2, horizon=3))
+        with pytest.raises(ValueError, match="one state per time index"):
+            log_path_posterior(result, [np.zeros(2)] * length)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_bayes_consistency(self, seed):
         # log L + log posterior(path) = log prior(path) + sum log h_t(y_t)

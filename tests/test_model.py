@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ import scipy.linalg
 
 from gmsmooth.model import (
     FlatEverywhere,
+    FlatOnSupport,
     GaussMarkovModel,
     ObservationModel,
     ObservationRecord,
@@ -14,6 +17,7 @@ from gmsmooth.model import (
     attach_observations,
     model_from_dict,
     model_to_dict,
+    save_model,
     simulate,
     simulate_batch,
     validate,
@@ -200,6 +204,23 @@ class TestValidate:
         put(model, *args)
         assert validate(model) == [message]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.transitions.pop(), "expected 3 transitions, got 2"),
+            (lambda m: m.observations.pop(), "expected 3 observation records, got 2"),
+            (
+                lambda m: m.observations.__setitem__(1, ObservationRecord(2, None, [2.0])),
+                "observation value without sensor model at t=2",
+            ),
+        ],
+        ids=["short-transitions", "short-observations", "value-without-sensor"],
+    )
+    def test_structure_defect_reported(self, edit, message):
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        edit(model)
+        assert validate(model) == [message]
+
     def test_batched_values_accepted(self, rng):
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         batched = attach_observations(model, [rng.standard_normal((4, 1)) for _ in range(3)])
@@ -232,6 +253,17 @@ class TestValidate:
         assert validate(model) == [
             "observation value at t=1 has shape (2, 2, 1), expected (1,) or (B, 1)"
         ]
+
+
+class TestStepAccess:
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    def test_step_outside_horizon_rejected(self, t):
+        # t = 0 used to count back from the end of the list and return step T
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        with pytest.raises(IndexError):
+            model.transition(t)
+        with pytest.raises(IndexError):
+            model.observation(t)
 
 
 class TestSimulate:
@@ -375,6 +407,26 @@ class TestJsonRoundTrip:
                 rebuilt.transition(t).noise_cov, model.transition(t).noise_cov
             )
 
+    @pytest.mark.parametrize("initial", [FlatOnSupport(), FlatEverywhere()])
+    def test_flat_initial_round_trip(self, rng, initial):
+        model = random_model(rng, missing_frac=0.3, initial=initial)
+        data = model_to_dict(model)
+        rebuilt = model_from_dict(json.loads(json.dumps(data)))
+        assert type(rebuilt.initial) is type(initial)
+        assert model_to_dict(rebuilt) == data
+
+    def test_batched_model_not_saved(self, tmp_path):
+        # a batch validates, but the file format holds one sequence: nested
+        # values would be flattened into one wide vector on reading
+        model = wiener_acceleration_model(1.0, [1, 1], [1, 1], 4, 1)
+        rng = np.random.default_rng(0)
+        model = attach_observations(model, [rng.standard_normal((3, 2)) for _ in range(4)])
+        assert validate(model) == []
+        path = tmp_path / "batch.json"
+        with pytest.raises(ValueError, match="t=1 holds a batch of 3, but a model file holds one"):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_stationary_shorthand(self):
         data = {
             "state_dim": 1,
@@ -468,3 +520,9 @@ class TestAttachObservations:
         assert attached.observation(1).value is None
         with pytest.raises(ValueError, match="without a sensor"):
             attach_observations(model, [np.zeros(2), None, None, None])
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_wrong_length_rejected(self, length):
+        model = wiener_acceleration_model(1.0, [1, 1], [1, 1], 4, 1)
+        with pytest.raises(ValueError, match="one entry per time step"):
+            attach_observations(model, [np.zeros(2)] * length)

@@ -186,6 +186,15 @@ class TestSqrtPropagateMarginal:
         npt.assert_allclose(out.mean, [3.0])
         npt.assert_allclose(out.cov, [[4.0]], atol=1e-12)
 
+    @pytest.mark.parametrize("unfactored", ["marginal", "kernel"])
+    def test_requires_factors(self, unfactored):
+        marg = GaussianMarginal([1.0], [[4.0]], None if unfactored == "marginal" else [[2.0]])
+        post = self.make_post(np.eye(1), [0.0], [[1.0]])
+        if unfactored == "kernel":
+            post = replace(post, noise_chol=None)
+        with pytest.raises(ValueError, match="covariance factors"):
+            sqrt_propagate_marginal(marg, post)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_plain_propagation(self, seed):
         rng = np.random.default_rng(seed)
