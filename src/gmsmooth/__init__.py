@@ -42,11 +42,7 @@ from .model import (
     validate,
     wiener_acceleration_model,
 )
-from .sqrt import (
-    array_predict_backward,
-    sqrt_backward_pass,
-    sqrt_propagate_marginal,
-)
+from .sqrt import array_predict_backward, sqrt_backward_pass
 
 __all__ = [
     "BackwardPassResult",
@@ -76,7 +72,6 @@ __all__ = [
     "simulate_batch",
     "smooth",
     "sqrt_backward_pass",
-    "sqrt_propagate_marginal",
     "terminal_init",
     "validate",
     "wiener_acceleration_model",

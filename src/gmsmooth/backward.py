@@ -89,12 +89,10 @@ class DegenerateGaussian:
     mean: np.ndarray
     cov: np.ndarray
     rank: int
-    support_basis: np.ndarray
 
     def __post_init__(self):
         self.mean = linalg.as_data(self.mean)
         self.cov = np.asarray(self.cov, dtype=float)
-        self.support_basis = np.asarray(self.support_basis, dtype=float)
 
 
 @dataclass
@@ -295,16 +293,14 @@ def backward_pass(model, predict=predict_backward):
 def likelihood_moments(lik):
     """Minimum-norm maximizer and pseudo-covariance of a likelihood.
 
-    The mean is the minimum-norm maximum likelihood estimate of the state,
-    the covariance is the pseudo-inverse of the information matrix, and the
-    support basis spans the affine set on which the induced density lives.
+    The mean is the minimum-norm maximum likelihood estimate of the state
+    and the covariance is the pseudo-inverse of the information matrix.
     """
     n = lik.state_dim
     if lik.is_empty:
-        return DegenerateGaussian(np.zeros(n), np.zeros((n, n)), 0, np.zeros((n, 0)))
-    # the basis of range(cov) = row space of c_bar comes from the same SVD
-    c_pinv, rank, basis = linalg.pseudo_inverse(lik.c_bar)
+        return DegenerateGaussian(np.zeros(n), np.zeros((n, n)), 0)
+    c_pinv, rank = linalg.pseudo_inverse(lik.c_bar)
     mean = lik.y_bar @ c_pinv.T
     cov = c_pinv @ c_pinv.T
     cov = 0.5 * (cov + cov.T)
-    return DegenerateGaussian(mean, cov, rank, basis)
+    return DegenerateGaussian(mean, cov, rank)

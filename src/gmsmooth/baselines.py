@@ -31,7 +31,6 @@ class JointGaussian:
     obs_matrix: np.ndarray  # rows: stacked C_t at non-missing t
     obs_noise: np.ndarray  # block-diagonal stacked R_t
     obs_values: np.ndarray
-    obs_times: list[int]
 
 
 def build_joint(model, initial=None):
@@ -65,7 +64,6 @@ def build_joint(model, initial=None):
     rows = []
     noise_blocks = []
     values = []
-    times = []
     for rec in model.observations:
         if rec.is_missing:
             continue
@@ -75,7 +73,6 @@ def build_joint(model, initial=None):
         rows.append(h)
         noise_blocks.append(rec.model.noise_cov)
         values.append(rec.value)
-        times.append(t)
     if rows:
         obs_matrix = np.vstack(rows)
         obs_noise = scipy.linalg.block_diag(*noise_blocks)
@@ -84,7 +81,7 @@ def build_joint(model, initial=None):
         obs_matrix = np.zeros((0, dim))
         obs_noise = np.zeros((0, 0))
         obs_values = np.zeros(0)
-    return JointGaussian(mean, cov, obs_matrix, obs_noise, obs_values, times)
+    return JointGaussian(mean, cov, obs_matrix, obs_noise, obs_values)
 
 
 def _condition(mean, cov, h, r, y):
@@ -179,7 +176,7 @@ def rts_smoother(kalman, model):
         tr = model.transition(t)
         filt = kalman.filtered[t - 1]
         pred = kalman.predicted[t - 1]
-        pred_pinv, _, _ = linalg.pseudo_inverse(pred.cov)
+        pred_pinv, _ = linalg.pseudo_inverse(pred.cov)
         gain = filt.cov @ tr.phi.T @ pred_pinv
         nxt = smoothed[t]
         mean = filt.mean + gain @ (nxt.mean - pred.mean)

@@ -110,18 +110,8 @@ def run_demo_batch(config, seeds):
     return out
 
 
-def run_demo_single(config, seed):
-    """One replication: the batch of one, with the batch axis taken off.
-
-    Returns a dict with per-time arrays and summary error metrics.
-    """
-    out = run_demo_batch(config, [seed])
-    rep = {key: value[0] for key, value in out.items() if key != "observations"}
-    rep["observations"] = [None if y is None else y[0] for y in out["observations"]]
-    return rep
-
-
-def _write_detail_csv(path, config, rep):
+def _write_detail_csv(path, config, out):
+    """Per-time CSV of replication 0 of a :func:`run_demo_batch` result."""
     big_t = config.horizon
     header = [
         "t",
@@ -142,16 +132,16 @@ def _write_detail_csv(path, config, rep):
         writer = csv.writer(fh)
         writer.writerow(header)
         for t in range(big_t + 1):
-            row = [t, _cell(rep["truth"][t, 0]), _cell(rep["truth"][t, 1])]
-            y = rep["observations"][t - 1] if t >= 1 else None
-            row += ["", ""] if y is None else [_cell(y[0]), _cell(y[1])]
+            row = [t, _cell(out["truth"][0, t, 0]), _cell(out["truth"][0, t, 1])]
+            y = out["observations"][t - 1] if t >= 1 else None
+            row += ["", ""] if y is None else [_cell(y[0, 0]), _cell(y[0, 1])]
             for key in ("smooth", "mle"):
-                if f"{key}_mean" in rep:
+                if f"{key}_mean" in out:
                     row += [
-                        _cell(rep[f"{key}_mean"][t, 0]),
-                        _cell(rep[f"{key}_mean"][t, 1]),
-                        _cell(rep[f"{key}_width"][t, 0]),
-                        _cell(rep[f"{key}_width"][t, 1]),
+                        _cell(out[f"{key}_mean"][0, t, 0]),
+                        _cell(out[f"{key}_mean"][0, t, 1]),
+                        _cell(out[f"{key}_width"][0, t, 0]),
+                        _cell(out[f"{key}_width"][0, t, 1]),
                     ]
                 else:
                     row += ["", "", "", ""]
@@ -180,16 +170,15 @@ def run_demo(config):
         raise ValueError("replications must be at least 1")
 
     summary = {"replications": config.replications, "output": config.output_path}
-    if config.replications == 1:
-        rep = run_demo_single(config, config.seed)
-        _write_detail_csv(config.output_path, config, rep)
-        for key in SUMMARY_COLUMNS:
-            if key in rep:
-                summary[key] = float(rep[key])
-        return summary
-
     seeds = range(config.seed, config.seed + config.replications)
     out = run_demo_batch(config, seeds)
+    if config.replications == 1:
+        _write_detail_csv(config.output_path, config, out)
+        for key in SUMMARY_COLUMNS:
+            if key in out:
+                summary[key] = float(out[key][0])
+        return summary
+
     with open(config.output_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("seed",) + SUMMARY_COLUMNS)

@@ -4,8 +4,7 @@ Given the backward pass output, the initial fusion combines the
 x0-likelihood with the prior (proper or flat), yielding the marginal
 likelihood, and the smoothing marginals then follow by propagating through
 the posterior transition kernels. A proper prior is fused by the same array
-update as a square-root backward prediction, so the x0 posterior comes with
-its covariance factor.
+update as a square-root backward prediction.
 """
 
 from __future__ import annotations
@@ -34,13 +33,10 @@ class GaussianMarginal:
 
     mean: np.ndarray
     cov: np.ndarray
-    cov_chol: np.ndarray | None = None
 
     def __post_init__(self):
         self.mean = linalg.as_data(self.mean)
         self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov_chol is not None:
-            self.cov_chol = np.asarray(self.cov_chol, dtype=float)
 
 
 @dataclass
@@ -66,7 +62,7 @@ def fuse_initial(lik0, initial):
     if isinstance(initial, Proper):
         prior = initial.with_chol()
         if lik0.is_empty:
-            return GaussianMarginal(prior.mean, prior.cov, prior.chol), 0.0
+            return GaussianMarginal(prior.mean, prior.cov), 0.0
         s0_chol, gain_hat, cov_chol, white = array_update(lik0, prior.mean, prior.chol)
         mean = prior.mean + white @ gain_hat.T
         # log N(y_bar; c_bar mu0, S0) plus the (2pi)^{m_bar/2} carried by h
@@ -75,7 +71,7 @@ def fuse_initial(lik0, initial):
             - linalg.log_diag(s0_chol)
             - 0.5 * (white * white).sum(axis=-1)
         )
-        return GaussianMarginal(mean, cov_chol @ cov_chol.T, cov_chol), log_l
+        return GaussianMarginal(mean, cov_chol @ cov_chol.T), log_l
 
     moments = likelihood_moments(lik0)
     if isinstance(initial, FlatOnSupport):
@@ -132,7 +128,7 @@ def _degenerate_logpdf(x, mean, cov):
     """Log-density of a possibly singular Gaussian on its affine support."""
     x = np.asarray(x, dtype=float).ravel()
     d = x - mean
-    cov_pinv, rank, _ = linalg.pseudo_inverse(cov)
+    cov_pinv, rank = linalg.pseudo_inverse(cov)
     if rank < cov.shape[0]:
         leak = d - cov @ (cov_pinv @ d)
         if np.linalg.norm(leak) > _LEAK_TOL * (1.0 + np.linalg.norm(d)):

@@ -182,19 +182,15 @@ def psd_chol(s):
 
 
 def pseudo_inverse(a):
-    """Moore-Penrose pseudo-inverse, numerical rank and row-space basis via SVD.
-
-    Returns (A^+, rank, V) where the ``rank`` orthonormal columns of V are
-    the right singular vectors kept, spanning the row space of A.
-    """
+    """Moore-Penrose pseudo-inverse and numerical rank via SVD: (A^+, rank)."""
     a = _as_matrix(a, "A")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0])), 0, np.zeros((a.shape[1], 0))
+        return np.zeros((a.shape[1], a.shape[0])), 0
     rank = int((s > RTOL * s[0]).sum())
     inv = np.zeros_like(s)
     inv[:rank] = 1.0 / s[:rank]
-    return (vt.T * inv[None, :]) @ u.T, rank, vt[:rank, :].T
+    return (vt.T * inv[None, :]) @ u.T, rank
 
 
 def pseudo_logdet(s):
@@ -204,15 +200,6 @@ def pseudo_logdet(s):
     check_psd(w)
     kept = w[w > RTOL * np.max(np.abs(w), initial=0.0)]
     return float(np.log(kept).sum()), int(kept.size)
-
-
-def gaussian_logpdf(x, mean, cov):
-    """Log-density of a multivariate normal with PD covariance."""
-    x = np.asarray(x, dtype=float).ravel()
-    mean = np.asarray(mean, dtype=float).ravel()
-    l = chol_lower(cov)
-    z = solve_triangular(l, x - mean)
-    return -0.5 * (x.size * LOG_2PI + float(z @ z)) - log_diag(l)
 
 
 def log_diag(l):

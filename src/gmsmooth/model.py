@@ -487,10 +487,13 @@ def _json_type(value):
 
 
 def _integer(data, key):
-    try:
-        return int(data[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {_json_type(data[key])}") from None
+    """A positive JSON integer: an int, not a bool, a float or a string."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {_json_type(value)}")
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    return value
 
 
 def _array(value, name):

@@ -6,18 +6,16 @@ yields triangular factors of the innovation covariance and of the posterior
 noise with the whitened gain; only this fold differs from the plain
 prediction. Fusion steps involve no covariances and are shared with the plain
 module; the fusion with a proper prior uses the same kernel (see
-:func:`~gmsmooth.forward.fuse_initial`).
+:func:`~gmsmooth.forward.fuse_initial`). The forward half is shared too: the
+marginals are propagated in covariance form by
+:func:`~gmsmooth.forward.propagate_marginals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from . import linalg
 from .backward import LogQuadLikelihood, _posterior_step, array_update, backward_pass
-from .forward import GaussianMarginal
 from .model import _once_per_object
 
 
@@ -45,14 +43,3 @@ def sqrt_backward_pass(model):
         replace(model, transitions=transitions), predict=array_predict_backward
     )
 
-
-def sqrt_propagate_marginal(prev, trans_post):
-    """Propagate a smoothing marginal one step forward in factored form."""
-    if prev.cov_chol is None or trans_post.noise_chol is None:
-        raise ValueError("square-root propagation requires covariance factors")
-    mean = prev.mean @ trans_post.phi.T + trans_post.offset
-    stacked = np.vstack(
-        [(trans_post.phi @ prev.cov_chol).T, trans_post.noise_chol.T]
-    )
-    cov_chol = linalg.qr_r(stacked).T
-    return GaussianMarginal(mean, cov_chol @ cov_chol.T, cov_chol)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmsmooth.linalg import LOG_2PI, chol_lower, log_diag, solve_triangular
 from gmsmooth.model import (
     GaussMarkovModel,
     ObservationModel,
@@ -8,6 +9,15 @@ from gmsmooth.model import (
     Proper,
     Transition,
 )
+
+
+def gaussian_logpdf(x, mean, cov):
+    """Log-density of a multivariate normal with PD covariance."""
+    x = np.asarray(x, dtype=float).ravel()
+    mean = np.asarray(mean, dtype=float).ravel()
+    l = chol_lower(cov)
+    z = solve_triangular(l, x - mean)
+    return -0.5 * (x.size * LOG_2PI + float(z @ z)) - log_diag(l)
 
 
 def random_psd(rng, n, scale=1.0, rank=None):

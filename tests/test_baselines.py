@@ -18,7 +18,7 @@ from gmsmooth.forward import GaussianMarginal, smooth
 from gmsmooth.linalg import pseudo_inverse, solve_triangular, chol_lower
 from gmsmooth.model import FlatEverywhere, ObservationRecord
 
-from conftest import random_model
+from conftest import gaussian_logpdf, random_model
 from test_model import scalar_random_walk
 
 
@@ -53,8 +53,6 @@ class TestConditionJoint:
         mean, cov, evidence = condition_joint(build_joint(model))
         npt.assert_allclose(mean, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         npt.assert_allclose(np.diag(cov), [2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-        from gmsmooth.linalg import gaussian_logpdf
-
         npt.assert_allclose(evidence, gaussian_logpdf([1.0], [0.0], [[3.0]]), atol=1e-12)
 
     def test_no_observations(self, rng):
@@ -229,9 +227,9 @@ class TestStackedMle:
             l = chol_lower(s)
             hw = solve_triangular(l, h)
             yw = solve_triangular(l, y - b)
-            h_pinv, rank, _ = pseudo_inverse(hw)
+            h_pinv, rank = pseudo_inverse(hw)
             expected_mean = h_pinv @ yw
-            expected_cov, _, _ = pseudo_inverse(hw.T @ hw)
+            expected_cov, _ = pseudo_inverse(hw.T @ hw)
             assert est.rank == rank
             scale = max(1.0, np.abs(expected_mean).max())
             npt.assert_allclose(est.mean, expected_mean, atol=1e-8 * scale)

@@ -14,7 +14,6 @@ from gmsmooth.cli import (
     main,
     run_demo,
     run_demo_batch,
-    run_demo_single,
     run_model_file,
 )
 from gmsmooth.forward import smooth
@@ -79,14 +78,13 @@ class TestDemo:
             lambda2=1e-16,
             estimator="smoother",
         )
-        rep = run_demo_single(config, seed=config.seed)
-        err = np.abs(rep["smooth_mean"] - rep["truth"])
+        out = run_demo_batch(config, [config.seed])
+        err = np.abs(out["smooth_mean"] - out["truth"])
         assert err.max() <= 1e-6
 
     def test_prefix_variance_exceeds_suffix(self, tmp_path):
         config = small_config(tmp_path, estimator="smoother")
-        rep = run_demo_single(config, seed=config.seed)
-        widths = rep["smooth_width"]
+        widths = run_demo_batch(config, [config.seed])["smooth_width"][0]
         prefix = widths[: config.first_obs_index].mean()
         suffix = widths[config.first_obs_index :].mean()
         assert prefix > suffix
@@ -102,12 +100,21 @@ class TestDemo:
     def test_demo_csv_cells_are_numbers(self, tmp_path):
         run_demo(small_config(tmp_path))
         run_demo(small_config(tmp_path, replications=3, output_path=str(tmp_path / "s.csv")))
-        for name in ("demo.csv", "s.csv"):
+        # a detail CSV of one estimator leaves the other one's columns empty
+        skipped = {"smoother.csv": "mle_", "mle.csv": "smooth_"}
+        for estimator in ("smoother", "mle"):
+            path = str(tmp_path / f"{estimator}.csv")
+            run_demo(small_config(tmp_path, estimator=estimator, output_path=path))
+        for name in ("demo.csv", "s.csv", "smoother.csv", "mle.csv"):
             with open(tmp_path / name, newline="") as fh:
-                rows = list(csv.reader(fh))[1:]
+                header, *rows = csv.reader(fh)
+            prefix = skipped.get(name)
             for row in rows:
-                for cell in row:
-                    if cell:  # the detail CSV leaves missing observations empty
+                for column, cell in zip(header, row, strict=True):
+                    if prefix and column.startswith(prefix):
+                        assert cell == ""
+                    elif cell or not column.startswith("obs"):
+                        # only the observations of missing steps may be empty
                         float(cell)
 
     def test_batch_replays_simulate_per_seed(self):
@@ -153,6 +160,8 @@ class TestDemo:
         assert code == 0
         assert out.exists()
         assert "smooth_rmse_prefix" in capsys.readouterr().out
+        assert main(["demo", "--replications", "0", "--output", str(out)]) == 2
+        assert "replications must be at least 1" in capsys.readouterr().err
 
     def test_parser_defaults_are_demo_config(self):
         args = build_parser().parse_args(["demo"])
@@ -290,6 +299,11 @@ class TestRunModelFile:
             ),
             (in_place(lambda d: d.update(initial=None)), "initial must be an object, got null"),
             (in_place(lambda d: d.update(horizon=None)), "horizon must be an integer, got null"),
+            (in_place(lambda d: d.update(state_dim=1.9)), "state_dim must be an integer, got number"),
+            (in_place(lambda d: d.update(state_dim=True)), "state_dim must be an integer, got boolean"),
+            (in_place(lambda d: d.update(horizon="2")), "horizon must be an integer, got string"),
+            (in_place(lambda d: d.update(horizon=-1)), "horizon must be at least 1, got -1"),
+            (in_place(lambda d: d.update(state_dim=0)), "state_dim must be at least 1, got 0"),
             (lambda d: [d], "a model must be a JSON object, got array"),
             (
                 in_place(lambda d: d["transitions"][1].update(phi={"a": 1})),
@@ -320,6 +334,11 @@ class TestRunModelFile:
             "string-transitions",
             "null-initial",
             "null-horizon",
+            "float-state-dim",
+            "boolean-state-dim",
+            "string-horizon",
+            "negative-horizon",
+            "zero-state-dim",
             "top-level-list",
             "object-phi",
             "ragged-phi",

@@ -12,10 +12,10 @@ from gmsmooth.forward import (
     propagate_marginals,
     smooth,
 )
-from gmsmooth.linalg import LOG_2PI, gaussian_logpdf, pseudo_logdet
+from gmsmooth.linalg import LOG_2PI, pseudo_logdet
 from gmsmooth.model import FlatEverywhere, FlatOnSupport, Proper
 
-from conftest import random_model
+from conftest import gaussian_logpdf, random_model
 from test_model import scalar_random_walk
 
 
@@ -130,9 +130,7 @@ class TestLogPathPosterior:
     def test_off_support_point_rejected(self):
         from gmsmooth.backward import DegenerateGaussian
 
-        post0 = DegenerateGaussian(
-            [0.0, 0.0], np.diag([1.0, 0.0]), 1, np.array([[1.0], [0.0]])
-        )
+        post0 = DegenerateGaussian([0.0, 0.0], np.diag([1.0, 0.0]), 1)
         result = propagate_marginals(post0, [])
         with pytest.raises(ValueError, match="off the support"):
             log_path_posterior(result, [np.array([0.0, 1.0])])

@@ -5,6 +5,8 @@ import scipy.linalg
 
 from gmsmooth import linalg
 
+from conftest import gaussian_logpdf
+
 
 class TestQrUpper:
     def test_identity(self):
@@ -293,25 +295,24 @@ def _triangular(a, lower, layout):
 
 class TestPseudoInverse:
     def test_identity(self):
-        pinv, rank, _ = linalg.pseudo_inverse(np.eye(2))
+        pinv, rank = linalg.pseudo_inverse(np.eye(2))
         npt.assert_allclose(pinv, np.eye(2))
         assert rank == 2
 
     def test_diagonal(self):
-        pinv, rank, _ = linalg.pseudo_inverse(np.diag([2.0, 0.0]))
+        pinv, rank = linalg.pseudo_inverse(np.diag([2.0, 0.0]))
         npt.assert_allclose(pinv, np.diag([0.5, 0.0]))
         assert rank == 1
 
     def test_column(self):
-        pinv, rank, _ = linalg.pseudo_inverse(np.array([[1.0], [1.0]]))
+        pinv, rank = linalg.pseudo_inverse(np.array([[1.0], [1.0]]))
         npt.assert_allclose(pinv, [[0.5, 0.5]])
         assert rank == 1
 
     def test_zero_matrix(self):
-        pinv, rank, basis = linalg.pseudo_inverse(np.zeros((2, 3)))
+        pinv, rank = linalg.pseudo_inverse(np.zeros((2, 3)))
         npt.assert_allclose(pinv, np.zeros((3, 2)))
         assert rank == 0
-        assert basis.shape == (3, 0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_penrose_conditions(self, seed):
@@ -319,17 +320,13 @@ class TestPseudoInverse:
         m, n = rng.integers(1, 6, size=2)
         rank = int(rng.integers(0, min(m, n) + 1))
         a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
-        pinv, detected, basis = linalg.pseudo_inverse(a)
+        pinv, detected = linalg.pseudo_inverse(a)
         assert detected == rank
         tol = 1e-10 * max(1.0, np.abs(a).max())
         npt.assert_allclose(a @ pinv @ a, a, atol=tol)
         npt.assert_allclose(pinv @ a @ pinv, pinv, atol=tol)
         npt.assert_allclose(a @ pinv, (a @ pinv).T, atol=tol)
         npt.assert_allclose(pinv @ a, (pinv @ a).T, atol=tol)
-        # the basis is orthonormal and spans the row space: V V' = A^+ A
-        assert basis.shape == (n, rank)
-        npt.assert_allclose(basis.T @ basis, np.eye(rank), atol=1e-12)
-        npt.assert_allclose(basis @ basis.T, pinv @ a, atol=1e-9)
 
 
 class TestPseudoLogdet:
@@ -366,24 +363,24 @@ class TestPseudoLogdet:
 class TestGaussianLogpdf:
     def test_standard_normal(self):
         npt.assert_allclose(
-            linalg.gaussian_logpdf([0.0], [0.0], [[1.0]]), -0.5 * np.log(2 * np.pi)
+            gaussian_logpdf([0.0], [0.0], [[1.0]]), -0.5 * np.log(2 * np.pi)
         )
 
     def test_unit_shift(self):
         npt.assert_allclose(
-            linalg.gaussian_logpdf([1.0], [0.0], [[1.0]]),
+            gaussian_logpdf([1.0], [0.0], [[1.0]]),
             -0.5 - 0.5 * np.log(2 * np.pi),
         )
 
     def test_variance_two(self):
         npt.assert_allclose(
-            linalg.gaussian_logpdf([1.0], [0.0], [[2.0]]),
+            gaussian_logpdf([1.0], [0.0], [[2.0]]),
             -0.25 - 0.5 * np.log(4 * np.pi),
         )
 
     def test_rejects_non_pd(self):
         with pytest.raises(linalg.FactorizationError):
-            linalg.gaussian_logpdf([0.0, 0.0], [0.0, 0.0], np.diag([1.0, 0.0]))
+            gaussian_logpdf([0.0, 0.0], [0.0, 0.0], np.diag([1.0, 0.0]))
 
 
 class TestPsdChol:

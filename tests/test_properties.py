@@ -132,7 +132,7 @@ def flat_prior_oracle(model):
     n = model.state_dim
     h, b, s, y = stacked_observation_map(model, 0)
     l = linalg.chol_lower(s)
-    h_pinv, rank, _ = linalg.pseudo_inverse(linalg.solve_triangular(l, h))
+    h_pinv, rank = linalg.pseudo_inverse(linalg.solve_triangular(l, h))
     mean0 = h_pinv @ linalg.solve_triangular(l, y - b)
     cov0 = h_pinv @ h_pinv.T
     given = [

@@ -8,7 +8,7 @@ from gmsmooth import linalg
 from gmsmooth.backward import LogQuadLikelihood, backward_pass, predict_backward
 from gmsmooth.baselines import future_likelihood_oracle, two_filter_combine
 from gmsmooth.forward import GaussianMarginal, fuse_initial, smooth
-from gmsmooth.linalg import LOG_2PI, chol_lower, gaussian_logpdf
+from gmsmooth.linalg import LOG_2PI, chol_lower
 from gmsmooth.model import (
     GaussMarkovModel,
     ObservationModel,
@@ -21,13 +21,9 @@ from gmsmooth.model import (
     simulate,
     wiener_acceleration_model,
 )
-from gmsmooth.sqrt import (
-    array_predict_backward,
-    sqrt_backward_pass,
-    sqrt_propagate_marginal,
-)
+from gmsmooth.sqrt import array_predict_backward, sqrt_backward_pass
 
-from conftest import random_model
+from conftest import gaussian_logpdf, random_model
 
 
 class TestArrayPredictBackward:
@@ -162,55 +158,6 @@ class TestSqrtFuseInitial:
         npt.assert_allclose(log_l, evidence, atol=1e-9)
         npt.assert_allclose(post.mean, expected.mean, atol=1e-9)
         npt.assert_allclose(post.cov, expected.cov, atol=1e-9)
-        npt.assert_allclose(post.cov_chol @ post.cov_chol.T, post.cov, atol=1e-12)
-
-
-class TestSqrtPropagateMarginal:
-    def make_post(self, phi, u, q_chol):
-        from gmsmooth.model import Transition
-
-        q_chol = np.asarray(q_chol, dtype=float)
-        return Transition(phi, u, q_chol @ q_chol.T, q_chol)
-
-    def test_identity_no_noise(self):
-        marg = GaussianMarginal([1.0, 2.0], np.diag([1.0, 4.0]), np.diag([1.0, 2.0]))
-        post = self.make_post(np.eye(2), np.zeros(2), np.zeros((2, 2)))
-        out = sqrt_propagate_marginal(marg, post)
-        npt.assert_allclose(out.mean, marg.mean)
-        npt.assert_allclose(out.cov, marg.cov, atol=1e-12)
-
-    def test_memoryless(self, rng):
-        marg = GaussianMarginal([1.0], [[2.0]], [[np.sqrt(2.0)]])
-        post = self.make_post(np.zeros((1, 1)), [3.0], [[2.0]])
-        out = sqrt_propagate_marginal(marg, post)
-        npt.assert_allclose(out.mean, [3.0])
-        npt.assert_allclose(out.cov, [[4.0]], atol=1e-12)
-
-    @pytest.mark.parametrize("unfactored", ["marginal", "kernel"])
-    def test_requires_factors(self, unfactored):
-        marg = GaussianMarginal([1.0], [[4.0]], None if unfactored == "marginal" else [[2.0]])
-        post = self.make_post(np.eye(1), [0.0], [[1.0]])
-        if unfactored == "kernel":
-            post = replace(post, noise_chol=None)
-        with pytest.raises(ValueError, match="covariance factors"):
-            sqrt_propagate_marginal(marg, post)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_plain_propagation(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
-        a = rng.standard_normal((n, n))
-        cov = a @ a.T
-        marg = GaussianMarginal(rng.standard_normal(n), cov, chol_lower(cov + 1e-12 * np.eye(n)))
-        b = rng.standard_normal((n, n))
-        q_chol = np.linalg.cholesky(b @ b.T + 1e-6 * np.eye(n))
-        phi = rng.standard_normal((n, n))
-        u = rng.standard_normal(n)
-        post = self.make_post(phi, u, q_chol)
-        out = sqrt_propagate_marginal(marg, post)
-        expected_cov = phi @ marg.cov @ phi.T + post.noise_cov
-        npt.assert_allclose(out.mean, phi @ marg.mean + u, atol=1e-10)
-        npt.assert_allclose(out.cov, expected_cov, atol=1e-8)
 
 
 class TestPlainSqrtEquivalence:
