@@ -64,10 +64,9 @@ def build_joint(model, initial=None):
     rows = []
     noise_blocks = []
     values = []
-    for rec in model.observations:
+    for t, rec in enumerate(model.observations, start=1):
         if rec.is_missing:
             continue
-        t = rec.time_index
         h = np.zeros((rec.model.obs_dim, dim))
         h[:, t * n : (t + 1) * n] = rec.model.c
         rows.append(h)

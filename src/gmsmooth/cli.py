@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -198,15 +199,13 @@ def run_demo(config):
 PIPELINES = ("filter", "smoother", "two-filter", "backward-only", "evidence")
 
 
-def _marginal_rows(marginals):
-    rows = []
-    for t, marg in enumerate(marginals):
-        rows.append(
-            [t]
-            + [_cell(v) for v in marg.mean]
-            + [_cell(v) for v in marg.cov.diagonal()]
-        )
-    return rows
+def _marginal_table(marginals, n):
+    """CSV rows of per-t marginals, header first: t, the means, the variances."""
+    header = ["t"] + [f"mean_{i}" for i in range(n)] + [f"var_{i}" for i in range(n)]
+    return [header] + [
+        [t] + [_cell(v) for v in marg.mean] + [_cell(v) for v in marg.cov.diagonal()]
+        for t, marg in enumerate(marginals)
+    ]
 
 
 def run_model_file(path, pipeline, output_prefix):
@@ -214,79 +213,51 @@ def run_model_file(path, pipeline, output_prefix):
 
     Writes ``<prefix>.csv`` (per-time results) and ``<prefix>.json`` (a
     summary including the log marginal likelihood). Returns the summary.
+    Raises ValueError, and writes nothing, if either output is the model file.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
+    for output in (output_prefix + ".json", output_prefix + ".csv"):
+        if os.path.realpath(output) == os.path.realpath(path):
+            raise ValueError(f"output {output} would overwrite the model file")
     mdl = load_model(path)
     violations = validate(mdl)
     if violations:
         raise ValueError("model validation failed:\n" + "\n".join(violations))
 
     n = mdl.state_dim
+    table = log_l = None
+    if pipeline == "filter":
+        kal = baselines.kalman_filter(mdl)
+        table, log_l = _marginal_table(kal.filtered, n), kal.log_likelihood
+    elif pipeline == "smoother":
+        result = forward.smooth(mdl)
+        table, log_l = _marginal_table(result.marginals, n), result.log_marginal_likelihood
+    elif pipeline == "two-filter":
+        kal = baselines.kalman_filter(mdl)
+        future = backward_pass(mdl).likelihood_given_prev + [LogQuadLikelihood.empty(n)]
+        marginals = [baselines.two_filter_combine(f, lik) for f, lik in zip(kal.filtered, future)]
+        table, log_l = _marginal_table(marginals, n), kal.log_likelihood
+    elif pipeline == "backward-only":
+        backward = backward_pass(mdl)
+        table = [["t", "m_bar", "log_c", "rank"] + [f"mle_{i}" for i in range(n)]]
+        for t, lik in enumerate([backward.initial_likelihood] + backward.likelihood_given_t):
+            est = likelihood_moments(lik)
+            table.append([t, lik.m_bar, _cell(lik.log_c), est.rank, *map(_cell, est.mean)])
+    else:  # evidence
+        _, log_l = forward.fuse_initial(backward_pass(mdl).initial_likelihood, mdl.initial)
+
+    if log_l is not None and math.isinf(log_l):
+        log_l = "infinite"
     summary = {
         "pipeline": pipeline,
         "state_dim": n,
         "horizon": mdl.horizon,
-        "log_marginal_likelihood": None,
+        "log_marginal_likelihood": log_l,
     }
-    rows = None
-
-    if pipeline == "filter":
-        kal = baselines.kalman_filter(mdl)
-        rows = _marginal_rows(kal.filtered)
-        summary["log_marginal_likelihood"] = kal.log_likelihood
-    elif pipeline == "smoother":
-        result = forward.smooth(mdl)
-        rows = _marginal_rows(result.marginals)
-        summary["log_marginal_likelihood"] = (
-            "infinite"
-            if math.isinf(result.log_marginal_likelihood)
-            else result.log_marginal_likelihood
-        )
-    elif pipeline == "two-filter":
-        kal = baselines.kalman_filter(mdl)
-        backward = backward_pass(mdl)
-        marginals = []
-        for t in range(mdl.horizon + 1):
-            future = (
-                backward.likelihood_given_prev[t]
-                if t < mdl.horizon
-                else LogQuadLikelihood.empty(n)
-            )
-            marginals.append(baselines.two_filter_combine(kal.filtered[t], future))
-        rows = _marginal_rows(marginals)
-        summary["log_marginal_likelihood"] = kal.log_likelihood
-    elif pipeline == "backward-only":
-        backward = backward_pass(mdl)
-        rows = []
-        for t in range(mdl.horizon + 1):
-            lik = (
-                backward.initial_likelihood
-                if t == 0
-                else backward.likelihood_given_t[t - 1]
-            )
-            est = likelihood_moments(lik)
-            rows.append(
-                [t, lik.m_bar, _cell(lik.log_c), est.rank]
-                + [_cell(v) for v in est.mean]
-            )
-    else:  # evidence
-        backward = backward_pass(mdl)
-        _, log_l = forward.fuse_initial(backward.initial_likelihood, mdl.initial)
-        summary["log_marginal_likelihood"] = (
-            "infinite" if math.isinf(log_l) else log_l
-        )
-
-    if rows is not None:
-        header = (
-            ["t", "m_bar", "log_c", "rank"] + [f"mle_{i}" for i in range(n)]
-            if pipeline == "backward-only"
-            else ["t"] + [f"mean_{i}" for i in range(n)] + [f"var_{i}" for i in range(n)]
-        )
+    if table is not None:
         with open(output_prefix + ".csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(fh).writerows(table)
         summary["csv"] = output_prefix + ".csv"
     with open(output_prefix + ".json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -334,7 +305,7 @@ def main(argv=None):
             summary = run_demo(DemoConfig(**values))
         else:
             summary = run_model_file(args.model_file, args.pipeline, args.output)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, value in summary.items():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -223,8 +224,9 @@ def validate(model):
                    "transition noise factor", at, violations)
     n_present = 0
     first = None  # (t, value) of the first present step
-    for rec in model.observations:
-        t = rec.time_index
+    for t, rec in enumerate(model.observations, start=1):
+        if rec.time_index != t:
+            violations.append(f"observation record at t={t} has time_index {rec.time_index}")
         if rec.model is None:
             if rec.value is not None:
                 violations.append(f"observation value without sensor model at t={t}")
@@ -356,10 +358,10 @@ def attach_observations(model, values):
     if len(values) != model.horizon:
         raise ValueError("values must have one entry per time step")
     records = []
-    for rec, y in zip(model.observations, values):
+    for t, (rec, y) in enumerate(zip(model.observations, values), start=1):
         if y is not None and rec.model is None:
-            raise ValueError(f"value supplied at t={rec.time_index} without a sensor")
-        records.append(ObservationRecord(rec.time_index, rec.model, y))
+            raise ValueError(f"value supplied at t={t} without a sensor")
+        records.append(ObservationRecord(t, rec.model, y))
     return replace(model, observations=records)
 
 
@@ -426,34 +428,35 @@ def wiener_acceleration_model(dt, sigmas, lambdas, horizon, first_obs_index):
 #     "state_dim": n,
 #     "horizon": T,
 #     "transitions": [{"phi": ..., "offset": ..., "noise_cov": ...}, ...]
-#                    or a single such object (repeated for every step),
+#                    or a single such object (shared by every step),
 #     "observation_models": [{"c": ..., "noise_cov": ...} or null, ...]
-#                    or a single object via "observation_model",
-#     "observations": [[...] or null, ...],   # length T, values y_t
+#                    or a single object or null via "observation_model",
+#     "observations": [[...] or null, ...],   # values y_t; absent: none
 #     "initial": {"kind": "proper", "mean": [...], "cov": [[...]]}
 #                | {"kind": "flat_on_support"} | {"kind": "flat_everywhere"}
 #   }
+# Every per-step list has T entries, the t-th for step t, and the step's
+# number is its position. A missing field is an error that names it.
 # ---------------------------------------------------------------------------
+
+_INITIAL_KINDS = {
+    Proper: "proper",
+    FlatOnSupport: "flat_on_support",
+    FlatEverywhere: "flat_everywhere",
+}
 
 
 def model_to_dict(model):
     """Serialize a model to the JSON schema (always in expanded per-step form)."""
-    for rec in model.observations:
+    for t, rec in enumerate(model.observations, start=1):
         if rec.value is not None and rec.value.ndim != 1:
             raise ValueError(
-                f"observation value at t={rec.time_index} holds {_batch_text(rec.value)}, "
+                f"observation value at t={t} holds {_batch_text(rec.value)}, "
                 "but a model file holds one sequence"
             )
+    initial = {"kind": _INITIAL_KINDS[type(model.initial)]}
     if isinstance(model.initial, Proper):
-        initial = {
-            "kind": "proper",
-            "mean": model.initial.mean.tolist(),
-            "cov": model.initial.cov.tolist(),
-        }
-    elif isinstance(model.initial, FlatOnSupport):
-        initial = {"kind": "flat_on_support"}
-    else:
-        initial = {"kind": "flat_everywhere"}
+        initial.update(mean=model.initial.mean.tolist(), cov=model.initial.cov.tolist())
     return {
         "state_dim": model.state_dim,
         "horizon": model.horizon,
@@ -486,9 +489,16 @@ def _json_type(value):
     return _JSON_TYPES.get(type(value), "number")
 
 
+def _field(obj, key, where=""):
+    """``obj[key]``, or a ValueError "``where``missing field 'key'" if it is absent."""
+    if key not in obj:
+        raise ValueError(f"{where}missing field {key!r}")
+    return obj[key]
+
+
 def _integer(data, key):
     """A positive JSON integer: an int, not a bool, a float or a string."""
-    value = data[key]
+    value = _field(data, key)
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer, got {_json_type(value)}")
     if value < 1:
@@ -503,93 +513,81 @@ def _array(value, name):
         raise ValueError(f"{name} must be a number or a rectangular array of numbers") from None
 
 
-def _check_objects(items, key, nullable=False):
-    """Raise a ValueError naming the first per-step entry that is not an object."""
-    for t, item in enumerate(items, start=1):
-        if not isinstance(item, dict) and not (nullable and item is None):
-            expected = "an object or null" if nullable else "an object"
-            raise ValueError(
-                f"{key} entry at t={t} must be {expected}, got {_json_type(item)}"
-            )
+def _arrays(obj, keys, what, at=""):
+    """The numeric fields ``keys`` of the JSON object ``obj`` as float arrays."""
+    return [_array(_field(obj, k, f"{what}{at}: "), f"{what} {k}{at}") for k in keys]
 
 
-def _once_per_object(items, build):
-    """``[build(t, item) for t, item in enumerate(items, start=1)]`` with one call
-    per distinct item: a time-invariant model gets one shared object, not T copies."""
-    built = {}
-    for t, item in enumerate(items, start=1):
-        if id(item) not in built:
-            built[id(item)] = build(t, item)
-    return [built[id(item)] for item in items]
+def _object(value, name, nullable=False):
+    """``value`` if it is a JSON object, or null where ``nullable``; else a ValueError."""
+    if isinstance(value, dict) or (nullable and value is None):
+        return value
+    expected = "an object or null" if nullable else "an object"
+    raise ValueError(f"{name} must be {expected}, got {_json_type(value)}")
+
+
+def _per_step(items, key, big_t, build):
+    """``build(t, entry)`` for the entries of the JSON list ``items``, t = 1..T; the
+    list's type and length are checked before anything is built."""
+    if not isinstance(items, list) or len(items) != big_t:
+        raise ValueError(f"{key} must be a list of {big_t} entries, one per step")
+    return [build(t, item) for t, item in enumerate(items, start=1)]
 
 
 def model_from_dict(data):
     """Parse a model from the JSON schema; see :func:`model_to_dict`.
 
-    Raises ValueError, naming the field and step, for a value of the wrong
-    JSON type; a missing field raises KeyError.
+    Raises ValueError, naming the field and the step, for a missing field, a
+    value of the wrong JSON type or a per-step list without ``horizon``
+    entries. A single transition or sensor object is built once and shared
+    by every step, and the records' time indices are their positions.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a model must be a JSON object, got {_json_type(data)}")
     n = _integer(data, "state_dim")
     big_t = _integer(data, "horizon")
 
-    raw_trans = data["transitions"]
-    if isinstance(raw_trans, dict):
-        raw_trans = [raw_trans] * big_t
-    if not isinstance(raw_trans, list):
-        raise ValueError(
-            f"transitions must be an object or a list of objects, got {_json_type(raw_trans)}"
-        )
-    _check_objects(raw_trans, "transitions")
-
     def transition(t, tr):
-        keys = ("phi", "offset", "noise_cov")
-        phi, offset, q = (_array(tr[k], f"transition {k} at t={t}") for k in keys)
+        at = f" at t={t}"
+        tr = _object(tr, "transitions entry" + at)
+        phi, offset, q = _arrays(tr, ("phi", "offset", "noise_cov"), "transition", at)
         return Transition(phi, np.ravel(offset), q)
 
-    transitions = _once_per_object(raw_trans, transition)
+    def sensor(t, om):
+        at = f" at t={t}"
+        if _object(om, "observation_models entry" + at, nullable=True) is None:
+            return None
+        return ObservationModel(*_arrays(om, ("c", "noise_cov"), "observation model", at))
 
+    def value(t, y):  # the file format holds one sequence: every value is one vector
+        return None if y is None else np.ravel(_array(y, f"observations at t={t}"))
+
+    # the lists' lengths are all checked before a single object is shared over T steps
+    values = repeat(None)
+    if "observations" in data:
+        values = _per_step(data["observations"], "observations", big_t, value)
     if "observation_models" in data:
-        raw_obs_models = data["observation_models"]
+        sensors = _per_step(data["observation_models"], "observation_models", big_t, sensor)
     else:
-        raw_obs_models = [data.get("observation_model")] * big_t
-    raw_values = data.get("observations", [None] * big_t)
-    per_step = {"observation_models": raw_obs_models, "observations": raw_values}
-    for key, items in per_step.items():
-        if not isinstance(items, list) or len(items) != big_t:
-            raise ValueError(f"{key} must be a list of {big_t} entries, one per step")
-    _check_objects(raw_obs_models, "observation_models", nullable=True)
-    sensors = _once_per_object(
-        raw_obs_models,
-        lambda t, om: None if om is None else ObservationModel(
-            *(_array(om[k], f"observation model {k} at t={t}") for k in ("c", "noise_cov"))
-        ),
-    )
-
-    # The file format holds one sequence: every value is one vector.
-    values = [
-        None if v is None else np.ravel(_array(v, f"observations at t={t}"))
-        for t, v in enumerate(raw_values, start=1)
-    ]
-    records = [
-        ObservationRecord(t, sensor, value)
-        for t, (sensor, value) in enumerate(zip(sensors, values), start=1)
-    ]
-
-    init = data["initial"]
-    if not isinstance(init, dict):
-        raise ValueError(f"initial must be an object, got {_json_type(init)}")
-    kind = init["kind"]
-    if kind == "proper":
-        initial = Proper(*(_array(init[k], f"initial {k}") for k in ("mean", "cov")))
-    elif kind == "flat_on_support":
-        initial = FlatOnSupport()
-    elif kind == "flat_everywhere":
-        initial = FlatEverywhere()
+        sensors = repeat(sensor(1, data.get("observation_model")))
+    raw = _field(data, "transitions")
+    if isinstance(raw, dict):
+        transitions = [transition(1, raw)] * big_t
+    elif isinstance(raw, list):
+        transitions = _per_step(raw, "transitions", big_t, transition)
     else:
+        raise ValueError(
+            f"transitions must be an object or a list of objects, got {_json_type(raw)}"
+        )
+    steps = zip(range(1, big_t + 1), sensors, values)
+    records = [ObservationRecord(t, obs, y) for t, obs, y in steps]
+
+    init = _object(_field(data, "initial"), "initial")
+    kind = _field(init, "kind", "initial: ")
+    cls = next((cls for cls, name in _INITIAL_KINDS.items() if name == kind), None)
+    if cls is None:
         raise ValueError(f"unknown initial distribution kind {kind!r}")
-
+    initial = Proper(*_arrays(init, ("mean", "cov"), "initial")) if cls is Proper else cls()
     return GaussMarkovModel(n, big_t, transitions, records, initial)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .backward import LogQuadLikelihood, _posterior_step, array_update, backward_pass
-from .model import _once_per_object
 
 
 def array_predict_backward(lik, trans):
@@ -38,7 +37,9 @@ def sqrt_backward_pass(model):
     Transitions without a noise factor (for example from a JSON model file)
     are factored up front, once per distinct transition object.
     """
-    transitions = _once_per_object(model.transitions, lambda t, trans: trans.with_noise_chol())
+    distinct = {id(trans): trans for trans in model.transitions}
+    factored = {key: trans.with_noise_chol() for key, trans in distinct.items()}
+    transitions = [factored[id(trans)] for trans in model.transitions]
     return backward_pass(
         replace(model, transitions=transitions), predict=array_predict_backward
     )

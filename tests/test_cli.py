@@ -322,6 +322,16 @@ class TestRunModelFile:
                 "initial mean must be a number or a rectangular array",
             ),
             (asymmetric_sensor_at_t2, "observation covariance at t=2 not symmetric"),
+            (
+                in_place(lambda d: d["transitions"].pop()),
+                "transitions must be a list of 3 entries, one per step",
+            ),
+            (in_place(lambda d: d.pop("transitions")), "missing field 'transitions'"),
+            (
+                in_place(lambda d: d["transitions"][1].pop("phi")),
+                "transition at t=2: missing field 'phi'",
+            ),
+            (in_place(lambda d: d["initial"].pop("kind")), "initial: missing field 'kind'"),
         ],
         ids=[
             "short-values",
@@ -345,6 +355,10 @@ class TestRunModelFile:
             "object-value",
             "object-mean",
             "asymmetric-noise-cov",
+            "short-transitions",
+            "missing-transitions",
+            "missing-phi",
+            "missing-initial-kind",
         ],
     )
     def test_malformed_model_file_exits_2_naming_field(self, tmp_path, capsys, edit, message):
@@ -354,6 +368,16 @@ class TestRunModelFile:
         code = main(["run", str(path), "--output", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["model.json", "model.csv"])
+    def test_output_naming_model_file_exits_2(self, tmp_path, capsys, name):
+        path = self.write_fixture(tmp_path, scalar_random_walk(values=[0.1, 0.2, 0.3]), name)
+        before = (tmp_path / name).read_bytes()
+        code = main(["run", path, "--output", str(tmp_path / "model")])
+        assert code == 2
+        assert f"output {path} would overwrite the model file" in capsys.readouterr().err
+        assert (tmp_path / name).read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]  # nothing written
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_observation_wider_than_state(self, tmp_path, pipeline):

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -213,8 +215,12 @@ class TestValidate:
                 lambda m: m.observations.__setitem__(1, ObservationRecord(2, None, [2.0])),
                 "observation value without sensor model at t=2",
             ),
+            (
+                lambda m: m.observations.__setitem__(2, replace(m.observations[2], time_index=2)),
+                "observation record at t=3 has time_index 2",
+            ),
         ],
-        ids=["short-transitions", "short-observations", "value-without-sensor"],
+        ids=["short-transitions", "short-observations", "value-without-sensor", "time-index"],
     )
     def test_structure_defect_reported(self, edit, message):
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
@@ -482,6 +488,26 @@ class TestJsonRoundTrip:
             return out
 
         assert outputs(model) == outputs(expanded)
+
+    def test_mistyped_horizon_fails_fast(self):
+        # the README example, its horizon mistyped: the observations' length
+        # is checked before the single objects are shared over the horizon
+        data = {
+            "state_dim": 1,
+            "horizon": 200_000,
+            "transitions": {"phi": [[1.0]], "offset": [0.0], "noise_cov": [[1.0]]},
+            "observation_model": {"c": [[1.0]], "noise_cov": [[1.0]]},
+            "observations": [[0.3], [0.5]],
+            "initial": {"kind": "proper", "mean": [0.0], "cov": [[1.0]]},
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="observations must be a list of 200000 entries"):
+                model_from_dict(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_nested_value_read_as_one_sequence(self):
         data = model_to_dict(scalar_random_walk(values=[1.0, 2.0, 3.0]))
