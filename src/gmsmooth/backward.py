@@ -290,17 +290,36 @@ def backward_pass(model, predict=predict_backward):
     return BackwardPassResult(likelihood_given_t, likelihood_given_prev, transitions_post)
 
 
-def likelihood_moments(lik):
-    """Minimum-norm maximizer and pseudo-covariance of a likelihood.
+def grouped_moments(liks):
+    """Means ``(k, [B,] n)``, covariances ``(k, n, n)`` and ranks of k likelihoods.
 
-    The mean is the minimum-norm maximum likelihood estimate of the state
-    and the covariance is the pseudo-inverse of the information matrix.
+    Each likelihood shape takes one stacked SVD. numpy runs the same LAPACK
+    and BLAS calls on each matrix of a stack as on one matrix, so an entry is
+    bit-identical to its lone computation; a 1-D y_bar's mean broadcasts over B.
     """
-    n = lik.state_dim
-    if lik.is_empty:
-        return DegenerateGaussian(np.zeros(n), np.zeros((n, n)), 0)
-    c_pinv, rank = linalg.pseudo_inverse(lik.c_bar)
-    mean = lik.y_bar @ c_pinv.T
-    cov = c_pinv @ c_pinv.T
-    cov = 0.5 * (cov + cov.T)
-    return DegenerateGaussian(mean, cov, rank)
+    groups = {}
+    for i, lik in enumerate(liks):
+        groups.setdefault((lik.y_bar.shape, lik.c_bar.shape), []).append(i)
+    k, n = len(liks), liks[0].state_dim
+    batch = max((lik.y_bar.shape[0] for lik in liks if lik.y_bar.ndim == 2), default=0)
+    mean, cov, rank = np.zeros((k, max(batch, 1), n)), np.zeros((k, n, n)), np.zeros(k, int)
+    for (_, (m_bar, _)), idx in groups.items():
+        if m_bar == 0:  # the unit likelihood: zero moments
+            continue
+        u, s, vt = np.linalg.svd(np.stack([liks[i].c_bar for i in idx]), full_matrices=False)
+        keep = s > linalg.RTOL * s[:, :1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        c_pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
+        # a 1-D y_bar as one row: numpy's per-item gemv, as y_bar @ c_pinv.T alone
+        y_bar = np.stack([liks[i].y_bar for i in idx]).reshape(len(idx), -1, m_bar)
+        mean[idx] = y_bar @ c_pinv.transpose(0, 2, 1)
+        c = c_pinv @ c_pinv.transpose(0, 2, 1)  # one buffer: numpy's per-item syrk
+        cov[idx] = 0.5 * (c + c.transpose(0, 2, 1))
+        rank[idx] = keep.sum(axis=1)
+    return (mean if batch else mean[:, 0]), cov, rank
+
+
+def likelihood_moments(lik):
+    """Minimum-norm MLE of the state and pseudo-inverse of the information matrix."""
+    mean, cov, rank = grouped_moments([lik])
+    return DegenerateGaussian(mean[0], cov[0], int(rank[0]))

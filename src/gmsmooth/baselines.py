@@ -286,10 +286,6 @@ def stacked_mle(model, t, backward=None):
     strictly-future data when there is no observation at t). ``backward``
     may supply a precomputed backward pass to avoid recomputation.
     """
-    if backward is None:
-        backward = backward_pass(model)
-    if t == 0:
-        lik = backward.initial_likelihood
-    else:
-        lik = backward.likelihood_given_t[t - 1]
+    backward = backward_pass(model) if backward is None else backward
+    lik = backward.likelihood_given_t[t - 1] if t else backward.initial_likelihood
     return likelihood_moments(lik)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import baselines, forward
-from .backward import LogQuadLikelihood, backward_pass, likelihood_moments
+from .backward import LogQuadLikelihood, backward_pass, grouped_moments
 from .model import (
     Proper,
     attach_observations,
@@ -48,14 +48,14 @@ def _cell(value):
     return repr(float(value))
 
 
-def _position_stats(estimates):
-    """Position means ``(B, T+1, 2)`` and two-sigma half-widths of per-t estimates.
+def _position_stats(mean, cov):
+    """Position means ``(B, T+1, 2)`` and two-sigma half-widths of per-t stacks.
 
-    The covariances are shared by the batch, so the widths are computed once
-    and broadcast over it.
+    ``mean`` is ``(T+1, B, n)`` and ``cov`` ``(T+1, n, n)``: the covariances
+    are shared by the batch, so the widths are computed once and broadcast.
     """
-    mean = np.stack([est.mean[..., POSITION] for est in estimates], axis=-2)
-    var = np.array([est.cov.diagonal()[POSITION] for est in estimates])
+    mean = np.ascontiguousarray(mean[..., POSITION].swapaxes(0, 1))
+    var = cov[:, POSITION, POSITION]
     width = 2.0 * np.sqrt(np.maximum(var, 0.0))
     return mean, np.broadcast_to(width, mean.shape)
 
@@ -66,17 +66,17 @@ def run_demo_batch(config, seeds):
     The replications are simulated together by ``simulate_batch(sim_model,
     seeds)``, row b bit-identical to ``simulate(sim_model, seeds[b])``. The
     observation values come as ``(B, 2)`` stacks, so one backward pass, one
-    forward sweep and one stacked MLE per t serve all B sequences. Returns a
-    dict of arrays with a leading replication axis: per-t truth, estimates and
-    two-sigma half-widths, and per-replication RMSEs and coverage;
-    ``observations`` is the per-t list of ``(B, 2)`` stacks or None.
+    forward sweep and one :func:`grouped_moments` pass (the stacked MLE of
+    each x_t) serve all B sequences. Returns a dict of arrays with a leading
+    replication axis: per-t truth, estimates and two-sigma half-widths, and
+    per-replication RMSEs and coverage; ``observations`` is the per-t list of
+    ``(B, 2)`` stacks or None.
     """
-    big_t = config.horizon
     inference_model = wiener_acceleration_model(
         config.dt,
         (config.sigma1, config.sigma2),
         (config.lambda1, config.lambda2),
-        big_t,
+        config.horizon,
         config.first_obs_index,
     )
     ref = np.asarray(config.reference_initial_state, dtype=float)
@@ -89,14 +89,13 @@ def run_demo_batch(config, seeds):
     backward = backward_pass(inference_model)
     out = {"truth": truth, "observations": ys}
     if config.estimator in ("smoother", "both"):
-        result = forward.smooth(inference_model, backward=backward)
-        out["smooth_mean"], out["smooth_width"] = _position_stats(result.marginals)
+        marginals = forward.smooth(inference_model, backward=backward).marginals
+        stacks = np.stack([m.mean for m in marginals]), np.stack([m.cov for m in marginals])
+        out["smooth_mean"], out["smooth_width"] = _position_stats(*stacks)
     if config.estimator in ("mle", "both"):
-        estimates = [
-            baselines.stacked_mle(inference_model, t, backward=backward)
-            for t in range(big_t + 1)
-        ]
-        out["mle_mean"], out["mle_width"] = _position_stats(estimates)
+        liks = [backward.initial_likelihood] + backward.likelihood_given_t
+        mean, cov, _ = grouped_moments(liks)
+        out["mle_mean"], out["mle_width"] = _position_stats(mean, cov)
 
     prefix = slice(0, config.first_obs_index)  # t = 0..k0-1
     for key in ("smooth", "mle"):
@@ -202,10 +201,10 @@ PIPELINES = ("filter", "smoother", "two-filter", "backward-only", "evidence")
 def _marginal_table(marginals, n):
     """CSV rows of per-t marginals, header first: t, the means, the variances."""
     header = ["t"] + [f"mean_{i}" for i in range(n)] + [f"var_{i}" for i in range(n)]
-    return [header] + [
-        [t] + [_cell(v) for v in marg.mean] + [_cell(v) for v in marg.cov.diagonal()]
-        for t, marg in enumerate(marginals)
-    ]
+    means = np.stack([marg.mean for marg in marginals])
+    variances = np.stack([marg.cov.diagonal() for marg in marginals])
+    rows = np.concatenate([means, variances], 1).tolist()  # csv writes a float's repr, as _cell
+    return [header] + [[t] + row for t, row in enumerate(rows)]
 
 
 def run_model_file(path, pipeline, output_prefix):
@@ -240,10 +239,11 @@ def run_model_file(path, pipeline, output_prefix):
         table, log_l = _marginal_table(marginals, n), kal.log_likelihood
     elif pipeline == "backward-only":
         backward = backward_pass(mdl)
+        liks = [backward.initial_likelihood] + backward.likelihood_given_t
+        means, _, ranks = grouped_moments(liks)
         table = [["t", "m_bar", "log_c", "rank"] + [f"mle_{i}" for i in range(n)]]
-        for t, lik in enumerate([backward.initial_likelihood] + backward.likelihood_given_t):
-            est = likelihood_moments(lik)
-            table.append([t, lik.m_bar, _cell(lik.log_c), est.rank, *map(_cell, est.mean)])
+        for t, (lik, rank, mean) in enumerate(zip(liks, ranks.tolist(), means.tolist())):
+            table.append([t, lik.m_bar, _cell(lik.log_c), rank, *mean])
     else:  # evidence
         _, log_l = forward.fuse_initial(backward_pass(mdl).initial_likelihood, mdl.initial)
 

@@ -13,6 +13,7 @@ from gmsmooth.backward import (
     array_update,
     backward_pass,
     fuse_observation,
+    grouped_moments,
     likelihood_moments,
     predict_backward,
     terminal_init,
@@ -491,7 +492,44 @@ class TestRecursionQr:
                 assert np.array_equal(got, expected)
 
 
+def _moments_alone(lik):
+    """One likelihood's moments by the per-likelihood formula: pseudo-inverse,
+    y_bar @ pinv.T and the symmetrized pinv @ pinv.T; zero for h = 1."""
+    n = lik.state_dim
+    if lik.is_empty:
+        return np.zeros(n), np.zeros((n, n)), 0
+    c_pinv, rank = linalg.pseudo_inverse(lik.c_bar)
+    cov = c_pinv @ c_pinv.T
+    return lik.y_bar @ c_pinv.T, 0.5 * (cov + cov.T), rank
+
+
 class TestLikelihoodMoments:
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_grouped_bit_identical_to_each_alone(self, rng, batch):
+        n = 7
+        rows = [0, 3, 7, 7, 3, 10, 7, 1, 3, 7, 10, 0]  # repeated shapes, m_bar < n, = n, > n
+        liks = []
+        for i, m in enumerate(rows):
+            c = rng.standard_normal((m, n))
+            if i == 4:
+                c[:] = 0.0  # no information: zero moments, rank 0
+            elif i == 6:
+                c[-1] = 2.0 * c[0]  # rank deficient
+            y = rng.standard_normal((batch, m) if batch and i % 2 else m)
+            liks.append(LogQuadLikelihood(0.0, y, c) if m else LogQuadLikelihood.empty(n))
+        means, covs, ranks = grouped_moments(liks)
+        assert means.shape == (len(rows),) + ((batch,) if batch else ()) + (n,)
+        assert ranks.tolist() == [0, 3, 7, 7, 0, 7, 6, 1, 3, 7, 7, 0]
+        for lik, mean, cov, rank in zip(liks, means, covs, ranks):
+            expected_mean, expected_cov, expected_rank = _moments_alone(lik)
+            assert mean.tobytes() == np.broadcast_to(expected_mean, mean.shape).tobytes()
+            assert cov.tobytes() == expected_cov.tobytes()
+            assert rank == expected_rank
+            est = likelihood_moments(lik)  # the one-likelihood case
+            assert est.mean.tobytes() == expected_mean.tobytes()
+            assert est.mean.shape == expected_mean.shape
+            assert est.cov.tobytes() == expected_cov.tobytes() and est.rank == expected_rank
+
     def test_full_rank(self):
         lik = LogQuadLikelihood(0.0, [1.0, 2.0], np.eye(2))
         est = likelihood_moments(lik)

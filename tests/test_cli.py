@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gmsmooth.backward import backward_pass
 from gmsmooth.baselines import build_joint, condition_joint, smoothing_oracle, stacked_mle
 from gmsmooth.cli import (
     PIPELINES,
@@ -48,6 +49,17 @@ def asymmetric_sensor_at_t2(data):
     data["observation_models"][1].update(c=[[1.0], [1.0]], noise_cov=[[1.0, 0.5], [0.0, 1.0]])
     data["observations"][1] = [0.2, 0.2]
     return data
+
+
+def demo_inference_model(config):
+    """The demo's inference model, built the way ``run_demo_batch`` defines it."""
+    return wiener_acceleration_model(
+        config.dt,
+        (config.sigma1, config.sigma2),
+        (config.lambda1, config.lambda2),
+        config.horizon,
+        config.first_obs_index,
+    )
 
 
 def small_config(tmp_path, **overrides):
@@ -125,13 +137,7 @@ class TestDemo:
         out = run_demo_batch(config, seeds)
         # np.mean sums in memory order: the RMSEs need truth in C order
         assert out["truth"].flags.c_contiguous
-        inference = wiener_acceleration_model(
-            config.dt,
-            (config.sigma1, config.sigma2),
-            (config.lambda1, config.lambda2),
-            config.horizon,
-            config.first_obs_index,
-        )
+        inference = demo_inference_model(config)
         ref = np.asarray(config.reference_initial_state, dtype=float)
         sim_model = replace(inference, initial=Proper(ref, np.zeros((6, 6))))
         for b, seed in enumerate(seeds):
@@ -141,6 +147,20 @@ class TestDemo:
                 assert (y is None) == (y_ref is None)
                 if y is not None:
                     npt.assert_array_equal(y[b], y_ref)
+
+    def test_mle_is_the_per_t_stacked_mle_bit_for_bit(self):
+        # the grouped moments give each t's stacked_mle, read at the positions
+        config = DemoConfig(horizon=64, first_obs_index=31)
+        out = run_demo_batch(config, [11, 12])
+        model = attach_observations(demo_inference_model(config), out["observations"])
+        backward = backward_pass(model)
+        estimates = [stacked_mle(model, t, backward=backward) for t in range(config.horizon + 1)]
+        mean = np.stack([est.mean[..., [0, 3]] for est in estimates], axis=-2)
+        var = np.array([est.cov.diagonal()[[0, 3]] for est in estimates])
+        width = np.broadcast_to(2.0 * np.sqrt(np.maximum(var, 0.0)), mean.shape)
+        assert out["mle_mean"].tobytes() == mean.tobytes()
+        assert out["mle_width"].tobytes() == width.tobytes()
+        assert out["mle_mean"].shape == out["mle_width"].shape == (2, config.horizon + 1, 2)
 
     def test_cli_entry_point(self, tmp_path, capsys):
         out = tmp_path / "demo.csv"
