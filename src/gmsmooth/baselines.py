@@ -17,7 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .backward import backward_pass, likelihood_moments
 from .forward import GaussianMarginal
 from .model import Proper
 
@@ -115,18 +114,6 @@ def condition_joint(joint):
     return _condition(
         joint.mean, joint.cov, joint.obs_matrix, joint.obs_noise, joint.obs_values
     )
-
-
-def smoothing_oracle(model, initial=None):
-    """Per-time smoothing marginals from the dense oracle."""
-    joint = build_joint(model, initial)
-    mean, cov, evidence = condition_joint(joint)
-    n = model.state_dim
-    marginals = [
-        GaussianMarginal(mean[t * n : (t + 1) * n], cov[t * n : (t + 1) * n, t * n : (t + 1) * n])
-        for t in range(model.horizon + 1)
-    ]
-    return marginals, cov, evidence
 
 
 @dataclass
@@ -277,15 +264,3 @@ def future_likelihood_oracle(model, t, x, include_current=True):
     resid = y[None, :] - b[None, :] - x @ h.T
     white = linalg.solve_triangular(l, resid.T)
     return const - 0.5 * np.sum(white * white, axis=0)
-
-
-def stacked_mle(model, t, backward=None):
-    """Minimum-norm maximum likelihood estimate of x_t from future data.
-
-    Maximizes the likelihood of observations at times >= t (falling back to
-    strictly-future data when there is no observation at t). ``backward``
-    may supply a precomputed backward pass to avoid recomputation.
-    """
-    backward = backward_pass(model) if backward is None else backward
-    lik = backward.likelihood_given_t[t - 1] if t else backward.initial_likelihood
-    return likelihood_moments(lik)

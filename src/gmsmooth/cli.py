@@ -43,11 +43,6 @@ class DemoConfig:
 POSITION = [0, 3]  # p1 and p2 in the tracking state (p1, v1, a1, p2, v2, a2)
 
 
-def _cell(value):
-    """CSV text of a number: the shortest round-tripping Python float repr."""
-    return repr(float(value))
-
-
 def _position_stats(mean, cov):
     """Position means ``(B, T+1, 2)`` and two-sigma half-widths of per-t stacks.
 
@@ -110,42 +105,36 @@ def run_demo_batch(config, seeds):
     return out
 
 
-def _write_detail_csv(path, config, out):
-    """Per-time CSV of replication 0 of a :func:`run_demo_batch` result."""
-    big_t = config.horizon
-    header = [
-        "t",
-        "true_pos1",
-        "true_pos2",
-        "obs1",
-        "obs2",
-        "smooth_mean1",
-        "smooth_mean2",
-        "smooth_2sigma1",
-        "smooth_2sigma2",
-        "mle_mean1",
-        "mle_mean2",
-        "mle_2sigma1",
-        "mle_2sigma2",
-    ]
+def _write_csv(path, rows):
+    """Write rows of Python values, an int, a float or "" per cell, as CSV.
+
+    csv writes a cell as ``str(cell)``, which for a Python float is the
+    shortest text that reads back to the same float. Row builders convert
+    arrays with ``.tolist()``, so numpy's scalar formatting decides no cell.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(big_t + 1):
-            row = [t, _cell(out["truth"][0, t, 0]), _cell(out["truth"][0, t, 1])]
-            y = out["observations"][t - 1] if t >= 1 else None
-            row += ["", ""] if y is None else [_cell(y[0, 0]), _cell(y[0, 1])]
-            for key in ("smooth", "mle"):
-                if f"{key}_mean" in out:
-                    row += [
-                        _cell(out[f"{key}_mean"][0, t, 0]),
-                        _cell(out[f"{key}_mean"][0, t, 1]),
-                        _cell(out[f"{key}_width"][0, t, 0]),
-                        _cell(out[f"{key}_width"][0, t, 1]),
-                    ]
-                else:
-                    row += ["", "", "", ""]
-            writer.writerow(row)
+        csv.writer(fh).writerows(rows)
+
+
+def _detail_table(out):
+    """CSV rows of replication 0 of a :func:`run_demo_batch` result, header first.
+
+    Each column pair is named next to its data. A step without a sensor, and
+    an estimator that did not run, give a pair of empty cells.
+    """
+    blank = ["", ""]
+    ys = [None, *out["observations"]]  # no observation at t = 0
+    pairs = {
+        "true_pos": out["truth"][0].tolist(),
+        "obs": [blank if y is None else y[0].tolist() for y in ys],
+    }
+    for key in ("smooth", "mle"):
+        for name, stat in (("mean", "mean"), ("2sigma", "width")):
+            data = out.get(f"{key}_{stat}")
+            pairs[f"{key}_{name}"] = [blank] * len(ys) if data is None else data[0].tolist()
+    header = ["t"] + [f"{name}{i}" for name in pairs for i in (1, 2)]
+    rows = zip(*pairs.values())
+    return [header] + [[t] + [v for pair in row for v in pair] for t, row in enumerate(rows)]
 
 
 SUMMARY_COLUMNS = (
@@ -173,20 +162,14 @@ def run_demo(config):
     seeds = range(config.seed, config.seed + config.replications)
     out = run_demo_batch(config, seeds)
     if config.replications == 1:
-        _write_detail_csv(config.output_path, config, out)
+        _write_csv(config.output_path, _detail_table(out))
         for key in SUMMARY_COLUMNS:
             if key in out:
                 summary[key] = float(out[key][0])
         return summary
 
-    with open(config.output_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("seed",) + SUMMARY_COLUMNS)
-        for i, seed in enumerate(seeds):
-            writer.writerow(
-                [seed]
-                + [_cell(out[key][i]) if key in out else "" for key in SUMMARY_COLUMNS]
-            )
+    columns = [out[key].tolist() if key in out else [""] * len(seeds) for key in SUMMARY_COLUMNS]
+    _write_csv(config.output_path, [("seed",) + SUMMARY_COLUMNS, *zip(seeds, *columns)])
     if config.estimator == "both":
         wins = out["smooth_rmse_prefix"] <= out["mle_rmse_prefix"]
         summary["smoother_beats_mle_fraction"] = float(np.mean(wins))
@@ -203,7 +186,7 @@ def _marginal_table(marginals, n):
     header = ["t"] + [f"mean_{i}" for i in range(n)] + [f"var_{i}" for i in range(n)]
     means = np.stack([marg.mean for marg in marginals])
     variances = np.stack([marg.cov.diagonal() for marg in marginals])
-    rows = np.concatenate([means, variances], 1).tolist()  # csv writes a float's repr, as _cell
+    rows = np.concatenate([means, variances], 1).tolist()
     return [header] + [[t] + row for t, row in enumerate(rows)]
 
 
@@ -243,7 +226,7 @@ def run_model_file(path, pipeline, output_prefix):
         means, _, ranks = grouped_moments(liks)
         table = [["t", "m_bar", "log_c", "rank"] + [f"mle_{i}" for i in range(n)]]
         for t, (lik, rank, mean) in enumerate(zip(liks, ranks.tolist(), means.tolist())):
-            table.append([t, lik.m_bar, _cell(lik.log_c), rank, *mean])
+            table.append([t, lik.m_bar, float(lik.log_c), rank, *mean])
     else:  # evidence
         _, log_l = forward.fuse_initial(backward_pass(mdl).initial_likelihood, mdl.initial)
 
@@ -256,8 +239,7 @@ def run_model_file(path, pipeline, output_prefix):
         "log_marginal_likelihood": log_l,
     }
     if table is not None:
-        with open(output_prefix + ".csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(table)
+        _write_csv(output_prefix + ".csv", table)
         summary["csv"] = output_prefix + ".csv"
     with open(output_prefix + ".json", "w") as fh:
         json.dump(summary, fh, indent=2)

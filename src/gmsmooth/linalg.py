@@ -153,9 +153,10 @@ def check_psd(w):
     """Raise FactorizationError unless eigenvalues ``w`` are those of a PSD matrix.
 
     An eigenvalue below ``-RTOL * max(1, largest)`` is genuinely negative;
-    smaller negative ones are rounding, which callers clip to zero.
+    smaller negative ones are rounding, which callers clip to zero. A
+    non-finite eigenvalue (NaN or inf) is never PSD.
     """
-    if w.min(initial=0.0) < -RTOL * max(1.0, w.max(initial=0.0)):
+    if not np.isfinite(w).all() or w.min(initial=0.0) < -RTOL * max(1.0, w.max(initial=0.0)):
         raise FactorizationError(
             f"matrix is not positive semi-definite: eigenvalue {w.min():.3e}"
         )
@@ -174,7 +175,7 @@ def psd_chol(s):
         return chol_lower(s)
     except FactorizationError:
         pass
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
+    w, v = np.linalg.eigh(0.5 * s + 0.5 * s.T)
     check_psd(w)
     f = v * np.sqrt(np.clip(w, 0.0, None))[None, :]
     # F Fᵀ = S; re-triangularize: Fᵀ = Q U gives S = Uᵀ U.
@@ -196,7 +197,7 @@ def pseudo_inverse(a):
 def pseudo_logdet(s):
     """Sum of log-eigenvalues above the rank threshold, for symmetric PSD S."""
     s = _as_matrix(s, "S")
-    w = np.linalg.eigvalsh(0.5 * (s + s.T))
+    w = np.linalg.eigvalsh(0.5 * s + 0.5 * s.T)
     check_psd(w)
     kept = w[w > RTOL * np.max(np.abs(w), initial=0.0)]
     return float(np.log(kept).sum()), int(kept.size)

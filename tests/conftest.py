@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from gmsmooth.backward import backward_pass, likelihood_moments
+from gmsmooth.baselines import build_joint, condition_joint
+from gmsmooth.forward import GaussianMarginal
 from gmsmooth.linalg import LOG_2PI, chol_lower, log_diag, solve_triangular
 from gmsmooth.model import (
     GaussMarkovModel,
@@ -18,6 +21,30 @@ def gaussian_logpdf(x, mean, cov):
     l = chol_lower(cov)
     z = solve_triangular(l, x - mean)
     return -0.5 * (x.size * LOG_2PI + float(z @ z)) - log_diag(l)
+
+
+def smoothing_oracle(model, initial=None):
+    """Per-time smoothing marginals from the dense oracle."""
+    joint = build_joint(model, initial)
+    mean, cov, evidence = condition_joint(joint)
+    n = model.state_dim
+    marginals = [
+        GaussianMarginal(mean[t * n : (t + 1) * n], cov[t * n : (t + 1) * n, t * n : (t + 1) * n])
+        for t in range(model.horizon + 1)
+    ]
+    return marginals, cov, evidence
+
+
+def stacked_mle(model, t, backward=None):
+    """Minimum-norm maximum likelihood estimate of x_t from future data.
+
+    Maximizes the likelihood of observations at times >= t (falling back to
+    strictly-future data when there is no observation at t). ``backward``
+    may supply a precomputed backward pass to avoid recomputation.
+    """
+    backward = backward_pass(model) if backward is None else backward
+    lik = backward.likelihood_given_t[t - 1] if t else backward.initial_likelihood
+    return likelihood_moments(lik)
 
 
 def random_psd(rng, n, scale=1.0, rank=None):

@@ -9,8 +9,6 @@ from gmsmooth.baselines import (
     future_likelihood_oracle,
     kalman_filter,
     rts_smoother,
-    smoothing_oracle,
-    stacked_mle,
     stacked_observation_map,
     two_filter_combine,
 )
@@ -18,7 +16,7 @@ from gmsmooth.forward import GaussianMarginal, smooth
 from gmsmooth.linalg import pseudo_inverse, solve_triangular, chol_lower
 from gmsmooth.model import FlatEverywhere, ObservationRecord
 
-from conftest import gaussian_logpdf, random_model
+from conftest import gaussian_logpdf, random_model, smoothing_oracle, stacked_mle
 from test_model import scalar_random_walk
 
 

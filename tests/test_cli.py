@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from gmsmooth.backward import backward_pass
-from gmsmooth.baselines import build_joint, condition_joint, smoothing_oracle, stacked_mle
+from gmsmooth.baselines import build_joint, condition_joint
 from gmsmooth.cli import (
     PIPELINES,
     DemoConfig,
@@ -30,7 +30,7 @@ from gmsmooth.model import (
     wiener_acceleration_model,
 )
 
-from conftest import random_model
+from conftest import random_model, smoothing_oracle, stacked_mle
 from test_model import scalar_random_walk
 
 
@@ -109,25 +109,56 @@ class TestDemo:
         lines = (tmp_path / "demo.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + one row per replication
 
-    def test_demo_csv_cells_are_numbers(self, tmp_path):
-        run_demo(small_config(tmp_path))
-        run_demo(small_config(tmp_path, replications=3, output_path=str(tmp_path / "s.csv")))
-        # a detail CSV of one estimator leaves the other one's columns empty
-        skipped = {"smoother.csv": "mle_", "mle.csv": "smooth_"}
-        for estimator in ("smoother", "mle"):
-            path = str(tmp_path / f"{estimator}.csv")
-            run_demo(small_config(tmp_path, estimator=estimator, output_path=path))
-        for name in ("demo.csv", "s.csv", "smoother.csv", "mle.csv"):
-            with open(tmp_path / name, newline="") as fh:
+    @pytest.mark.parametrize("estimator", ["both", "smoother", "mle"])
+    def test_demo_csv_cells_read_back_bit_for_bit(self, tmp_path, estimator):
+        # every number cell reads back as the very float of run_demo_batch
+        # that it was written from, and only a missing observation or an
+        # estimator that did not run leaves cells empty
+        def read(config):
+            run_demo(config)
+            with open(config.output_path, newline="") as fh:
                 header, *rows = csv.reader(fh)
-            prefix = skipped.get(name)
-            for row in rows:
-                for column, cell in zip(header, row, strict=True):
-                    if prefix and column.startswith(prefix):
-                        assert cell == ""
-                    elif cell or not column.startswith("obs"):
-                        # only the observations of missing steps may be empty
-                        float(cell)
+            return dict(zip(header, zip(*rows, strict=True), strict=True))
+
+        def assert_cells(cells, values):
+            read_back = np.array([float(cell) for cell in cells])
+            assert read_back.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+        config = small_config(tmp_path, estimator=estimator)
+        out = run_demo_batch(config, [config.seed])
+        columns = read(config)
+        assert columns.pop("t") == tuple(str(t) for t in range(config.horizon + 1))
+        ys = [None, *out["observations"]]
+        stats = {
+            "true_pos": "truth",
+            "smooth_mean": "smooth_mean",
+            "smooth_2sigma": "smooth_width",
+            "mle_mean": "mle_mean",
+            "mle_2sigma": "mle_width",
+        }
+        for name, cells in columns.items():
+            prefix, i = name[:-1], int(name[-1]) - 1
+            if prefix == "obs":
+                assert [cell == "" for cell in cells] == [y is None for y in ys]
+                seen = [(cell, y[0, i]) for cell, y in zip(cells, ys) if y is not None]
+                assert_cells(*zip(*seen))
+            elif stats[prefix] in out:
+                assert "" not in cells
+                assert_cells(cells, out[stats[prefix]][0, :, i])
+            else:
+                assert set(cells) == {""}
+
+        config = small_config(tmp_path, estimator=estimator, replications=3)
+        out = run_demo_batch(config, range(config.seed, config.seed + 3))
+        columns = read(config)
+        assert columns.pop("seed") == tuple(str(config.seed + b) for b in range(3))
+        assert len(columns) == 5
+        for name, cells in columns.items():
+            if name in out:
+                assert "" not in cells
+                assert_cells(cells, out[name])
+            else:
+                assert set(cells) == {""}
 
     def test_batch_replays_simulate_per_seed(self):
         # the demo's replications, drawn together, equal the per-seed replay

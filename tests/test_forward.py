@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from gmsmooth.backward import LogQuadLikelihood, backward_pass
-from gmsmooth.baselines import smoothing_oracle
 from gmsmooth.forward import (
     fuse_initial,
     log_path_posterior,
@@ -15,7 +14,7 @@ from gmsmooth.forward import (
 from gmsmooth.linalg import LOG_2PI, pseudo_logdet
 from gmsmooth.model import FlatEverywhere, FlatOnSupport, Proper
 
-from conftest import gaussian_logpdf, random_model
+from conftest import gaussian_logpdf, random_model, smoothing_oracle
 from test_model import scalar_random_walk
 
 

@@ -411,3 +411,8 @@ class TestPsdChol:
             else:
                 with pytest.raises(linalg.FactorizationError, match="eigenvalue"):
                     factor(np.diag(w))
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]])
+    def test_non_finite_eigenvalues_are_not_psd(self, w):
+        with pytest.raises(linalg.FactorizationError, match="eigenvalue"):
+            linalg.check_psd(np.array(w))

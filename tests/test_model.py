@@ -189,6 +189,11 @@ class TestValidate:
                 (np.diag([1.0, -1.0]),),
                 "transition noise covariance not PSD at t=1",
             ),
+            (
+                transition_at_t1,
+                (np.diag([-9e307, 0.1]),),
+                "transition noise covariance not PSD at t=1",
+            ),
         ],
         ids=[
             "sensor-factor",
@@ -199,6 +204,7 @@ class TestValidate:
             "full-sensor-factor",
             "wide-transition-factor",
             "indefinite-transition",
+            "overflowing-transition",
         ],
     )
     def test_covariance_defect_reported(self, rng, put, args, message):

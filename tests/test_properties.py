@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmsmooth import linalg
-from gmsmooth.baselines import smoothing_oracle, stacked_observation_map
+from gmsmooth.baselines import stacked_observation_map
 from gmsmooth.forward import smooth
 from gmsmooth.model import (
     FlatOnSupport,
@@ -34,7 +34,7 @@ from gmsmooth.model import (
 )
 from gmsmooth.sqrt import sqrt_backward_pass
 
-from conftest import random_psd
+from conftest import random_psd, smoothing_oracle
 
 TOL = 1e-8  # the acceptance criteria's oracle tolerance
 BATCH = 3
