@@ -83,16 +83,25 @@ class LogQuadLikelihood:
 
 
 @dataclass
-class DegenerateGaussian:
-    """Gaussian supported on the affine set mean + range(cov)."""
+class GaussianMarginal:
+    """Mean and covariance of one smoothing (or filtering) marginal."""
 
     mean: np.ndarray
     cov: np.ndarray
-    rank: int
 
     def __post_init__(self):
         self.mean = linalg.as_data(self.mean)
         self.cov = np.asarray(self.cov, dtype=float)
+
+
+@dataclass
+class DegenerateGaussian(GaussianMarginal):
+    """Gaussian on mean + range(cov) read off a likelihood's ``c_bar``: c_bar' c_bar
+    is its precision there, and rank and log pseudo-det ``logdet`` come from c_bar's SVD."""
+
+    rank: int
+    logdet: float
+    c_bar: np.ndarray
 
 
 @dataclass
@@ -291,11 +300,12 @@ def backward_pass(model, predict=predict_backward):
 
 
 def grouped_moments(liks):
-    """Means ``(k, [B,] n)``, covariances ``(k, n, n)`` and ranks of k likelihoods.
+    """Means ``(k, [B,] n)``, covariances ``(k, n, n)``, ranks and log pseudo-dets.
 
     Each likelihood shape takes one stacked SVD. numpy runs the same LAPACK
     and BLAS calls on each matrix of a stack as on one matrix, so an entry is
     bit-identical to its lone computation; a 1-D y_bar's mean broadcasts over B.
+    The rank counts c_bar's singular values s > RTOL * s_max; logdet is -2 sum log s.
     """
     groups = {}
     for i, lik in enumerate(liks):
@@ -303,6 +313,7 @@ def grouped_moments(liks):
     k, n = len(liks), liks[0].state_dim
     batch = max((lik.y_bar.shape[0] for lik in liks if lik.y_bar.ndim == 2), default=0)
     mean, cov, rank = np.zeros((k, max(batch, 1), n)), np.zeros((k, n, n)), np.zeros(k, int)
+    logdet = np.zeros(k)
     for (_, (m_bar, _)), idx in groups.items():
         if m_bar == 0:  # the unit likelihood: zero moments
             continue
@@ -316,10 +327,11 @@ def grouped_moments(liks):
         c = c_pinv @ c_pinv.transpose(0, 2, 1)  # one buffer: numpy's per-item syrk
         cov[idx] = 0.5 * (c + c.transpose(0, 2, 1))
         rank[idx] = keep.sum(axis=1)
-    return (mean if batch else mean[:, 0]), cov, rank
+        logdet[idx] = -2.0 * np.log(s, out=np.zeros_like(s), where=keep).sum(axis=1)
+    return (mean if batch else mean[:, 0]), cov, rank, logdet
 
 
 def likelihood_moments(lik):
     """Minimum-norm MLE of the state and pseudo-inverse of the information matrix."""
-    mean, cov, rank = grouped_moments([lik])
-    return DegenerateGaussian(mean[0], cov[0], int(rank[0]))
+    mean, cov, rank, logdet = grouped_moments([lik])
+    return DegenerateGaussian(mean[0], cov[0], int(rank[0]), float(logdet[0]), lik.c_bar)

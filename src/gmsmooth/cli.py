@@ -89,7 +89,7 @@ def run_demo_batch(config, seeds):
         out["smooth_mean"], out["smooth_width"] = _position_stats(*stacks)
     if config.estimator in ("mle", "both"):
         liks = [backward.initial_likelihood] + backward.likelihood_given_t
-        mean, cov, _ = grouped_moments(liks)
+        mean, cov, _, _ = grouped_moments(liks)
         out["mle_mean"], out["mle_width"] = _position_stats(mean, cov)
 
     prefix = slice(0, config.first_obs_index)  # t = 0..k0-1
@@ -223,7 +223,7 @@ def run_model_file(path, pipeline, output_prefix):
     elif pipeline == "backward-only":
         backward = backward_pass(mdl)
         liks = [backward.initial_likelihood] + backward.likelihood_given_t
-        means, _, ranks = grouped_moments(liks)
+        means, _, ranks, _ = grouped_moments(liks)
         table = [["t", "m_bar", "log_c", "rank"] + [f"mle_{i}" for i in range(n)]]
         for t, (lik, rank, mean) in enumerate(zip(liks, ranks.tolist(), means.tolist())):
             table.append([t, lik.m_bar, float(lik.log_c), rank, *mean])

@@ -17,6 +17,7 @@ import numpy as np
 from . import linalg
 from .backward import (
     DegenerateGaussian,
+    GaussianMarginal,
     array_update,
     backward_pass,
     likelihood_moments,
@@ -28,25 +29,18 @@ _LEAK_TOL = 1e-6  # off-support distance, relative to 1 + |x - mean|, beyond rou
 
 
 @dataclass
-class GaussianMarginal:
-    """Mean and covariance of one smoothing (or filtering) marginal."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = linalg.as_data(self.mean)
-        self.cov = np.asarray(self.cov, dtype=float)
-
-
-@dataclass
 class SmoothingResult:
     """Smoothing marginals t = 0..T plus the path-posterior transition kernels."""
 
     marginals: list[GaussianMarginal]
     transitions: list
     log_marginal_likelihood: float
-    initial_posterior: object = None  # DegenerateGaussian when degenerate
+
+    @property
+    def initial_posterior(self):
+        """The x0 posterior when a flat prior leaves it degenerate, else None."""
+        first = self.marginals[0]
+        return first if isinstance(first, DegenerateGaussian) else None
 
 
 def fuse_initial(lik0, initial):
@@ -56,8 +50,9 @@ def fuse_initial(lik0, initial):
     folded in by one :func:`~gmsmooth.backward.array_update` on its
     covariance factor. For a flat prior on the likelihood's support, the
     posterior is the likelihood's own degenerate Gaussian and the evidence
-    uses the pseudo-determinant. For a prior flat on all of R^n the evidence
-    is infinite.
+    integrates h over its support: h at the mean times (2 pi)^{rank/2} and the
+    root pseudo-determinant, both read off the likelihood's SVD. For a prior
+    flat on all of R^n the evidence is infinite.
     """
     if isinstance(initial, Proper):
         prior = initial.with_chol()
@@ -74,39 +69,24 @@ def fuse_initial(lik0, initial):
         return GaussianMarginal(mean, cov_chol @ cov_chol.T), log_l
 
     moments = likelihood_moments(lik0)
-    if isinstance(initial, FlatOnSupport):
-        logdet, rank = linalg.pseudo_logdet(moments.cov)
-        log_l = lik0.log_c + 0.5 * (rank * LOG_2PI + logdet)
-        return moments, log_l
+    if isinstance(initial, FlatOnSupport):  # log h(mean): data off c_bar's range lowers it
+        resid = lik0.y_bar - moments.mean @ lik0.c_bar.T
+        log_c = lik0.log_c - 0.5 * (resid * resid).sum(axis=-1)
+        return moments, log_c + 0.5 * (moments.rank * LOG_2PI + moments.logdet)
     if isinstance(initial, FlatEverywhere):
         return moments, math.inf
     raise TypeError(f"unknown initial distribution {initial!r}")
 
 
-def propagate_marginals(
-    posterior0,
-    transitions,
-    log_marginal_likelihood=math.nan,
-):
+def propagate_marginals(posterior0, transitions, log_marginal_likelihood=math.nan):
     """Propagate the x0 posterior through the posterior transition kernels."""
-    if isinstance(posterior0, DegenerateGaussian):
-        first = GaussianMarginal(posterior0.mean, posterior0.cov)
-        initial_posterior = posterior0
-    else:
-        first = posterior0
-        initial_posterior = None
-    marginals = [first]
+    marginals = [posterior0]
     for trans in transitions:
         prev = marginals[-1]
         mean = prev.mean @ trans.phi.T + trans.offset
         cov = trans.phi @ prev.cov @ trans.phi.T + trans.noise_cov
         marginals.append(GaussianMarginal(mean, 0.5 * (cov + cov.T)))
-    return SmoothingResult(
-        marginals,
-        list(transitions),
-        log_marginal_likelihood,
-        initial_posterior,
-    )
+    return SmoothingResult(marginals, list(transitions), log_marginal_likelihood)
 
 
 def smooth(model, backward=None):
@@ -124,19 +104,26 @@ def smooth(model, backward=None):
     return propagate_marginals(posterior0, backward.transitions_post, log_l)
 
 
-def _degenerate_logpdf(x, mean, cov):
-    """Log-density of a possibly singular Gaussian on its affine support."""
-    x = np.asarray(x, dtype=float).ravel()
-    d = x - mean
-    cov_pinv, rank = linalg.pseudo_inverse(cov)
-    if rank < cov.shape[0]:
-        leak = d - cov @ (cov_pinv @ d)
-        if np.linalg.norm(leak) > _LEAK_TOL * (1.0 + np.linalg.norm(d)):
-            raise ValueError("point lies off the support of a degenerate Gaussian")
-    if rank == 0:
-        return 0.0
-    logdet, _ = linalg.pseudo_logdet(cov)
-    return -0.5 * (rank * LOG_2PI + logdet + float(d @ cov_pinv @ d))
+def _degenerate_logpdf(x, gaussian):
+    """Log-density of a possibly singular Gaussian on its affine support.
+
+    One ``eigh`` of the covariance gives the support. A :class:`DegenerateGaussian`
+    brings its rank, log pseudo-determinant and precision factor c_bar, so no
+    eigenvalue of its covariance enters; any other Gaussian's are read off ``eigh``.
+    """
+    d = np.asarray(x, dtype=float).ravel() - gaussian.mean
+    w, v = np.linalg.eigh(0.5 * gaussian.cov + 0.5 * gaussian.cov.T)
+    if isinstance(gaussian, DegenerateGaussian):
+        rank, logdet, white = gaussian.rank, gaussian.logdet, gaussian.c_bar @ d
+    else:
+        linalg.check_psd(w)
+        rank = int((w > linalg.RTOL * np.abs(w).max(initial=0.0)).sum())
+        w, v = w[w.size - rank :], v[:, w.size - rank :]  # eigh sorts ascending
+        logdet, white = float(np.log(w).sum()), (d @ v) / np.sqrt(w)
+    v = v[:, v.shape[1] - rank :]
+    if rank < d.size and np.linalg.norm(d - v @ (d @ v)) > _LEAK_TOL * (1.0 + np.linalg.norm(d)):
+        raise ValueError("point lies off the support of a degenerate Gaussian")
+    return -0.5 * (rank * LOG_2PI + logdet + float(white @ white))
 
 
 def log_path_posterior(result, path):
@@ -152,8 +139,8 @@ def log_path_posterior(result, path):
     path = [np.asarray(x, dtype=float).ravel() for x in path]
     if any(x.shape != first.mean.shape for x in path):
         raise ValueError("path state dimension mismatch")
-    total = _degenerate_logpdf(path[0], first.mean, first.cov)
+    total = _degenerate_logpdf(path[0], first)
     for t, trans in enumerate(result.transitions, start=1):
         mean = trans.phi @ path[t - 1] + trans.offset
-        total += _degenerate_logpdf(path[t], mean, trans.noise_cov)
+        total += _degenerate_logpdf(path[t], GaussianMarginal(mean, trans.noise_cov))
     return total

@@ -183,7 +183,7 @@ def _check_cov(cov, factor, dim, name, factor_name, at, violations, definite=Fal
     if not (_check_array(factor, (dim, dim), factor_name + at, violations) and ok):
         return
     tol = linalg.RTOL * max(1.0, abs(cov).max(initial=0.0))
-    if abs(cov - cov.T).max(initial=0.0) > tol:
+    if abs(0.5 * cov - 0.5 * cov.T).max(initial=0.0) > 0.5 * tol:  # halved: no overflow
         violations.append(f"{name}{at} not symmetric")
         return
     try:

@@ -494,13 +494,15 @@ class TestRecursionQr:
 
 def _moments_alone(lik):
     """One likelihood's moments by the per-likelihood formula: pseudo-inverse,
-    y_bar @ pinv.T and the symmetrized pinv @ pinv.T; zero for h = 1."""
+    y_bar @ pinv.T, the symmetrized pinv @ pinv.T and -2 sum log s over the
+    kept singular values; zero for h = 1."""
     n = lik.state_dim
     if lik.is_empty:
-        return np.zeros(n), np.zeros((n, n)), 0
+        return np.zeros(n), np.zeros((n, n)), 0, 0.0
     c_pinv, rank = linalg.pseudo_inverse(lik.c_bar)
     cov = c_pinv @ c_pinv.T
-    return lik.y_bar @ c_pinv.T, 0.5 * (cov + cov.T), rank
+    logdet = -2.0 * np.log(np.linalg.svd(lik.c_bar, compute_uv=False)[:rank]).sum()
+    return lik.y_bar @ c_pinv.T, 0.5 * (cov + cov.T), rank, logdet
 
 
 class TestLikelihoodMoments:
@@ -517,18 +519,20 @@ class TestLikelihoodMoments:
                 c[-1] = 2.0 * c[0]  # rank deficient
             y = rng.standard_normal((batch, m) if batch and i % 2 else m)
             liks.append(LogQuadLikelihood(0.0, y, c) if m else LogQuadLikelihood.empty(n))
-        means, covs, ranks = grouped_moments(liks)
+        means, covs, ranks, logdets = grouped_moments(liks)
         assert means.shape == (len(rows),) + ((batch,) if batch else ()) + (n,)
         assert ranks.tolist() == [0, 3, 7, 7, 0, 7, 6, 1, 3, 7, 7, 0]
-        for lik, mean, cov, rank in zip(liks, means, covs, ranks):
-            expected_mean, expected_cov, expected_rank = _moments_alone(lik)
+        for lik, mean, cov, rank, logdet in zip(liks, means, covs, ranks, logdets):
+            expected_mean, expected_cov, expected_rank, expected_logdet = _moments_alone(lik)
             assert mean.tobytes() == np.broadcast_to(expected_mean, mean.shape).tobytes()
             assert cov.tobytes() == expected_cov.tobytes()
             assert rank == expected_rank
+            npt.assert_allclose(logdet, expected_logdet, rtol=1e-14, atol=1e-14)
             est = likelihood_moments(lik)  # the one-likelihood case
             assert est.mean.tobytes() == expected_mean.tobytes()
             assert est.mean.shape == expected_mean.shape
             assert est.cov.tobytes() == expected_cov.tobytes() and est.rank == expected_rank
+            assert est.logdet == logdet
 
     def test_full_rank(self):
         lik = LogQuadLikelihood(0.0, [1.0, 2.0], np.eye(2))

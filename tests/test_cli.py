@@ -62,6 +62,19 @@ def demo_inference_model(config):
     )
 
 
+# two states seen directly, one 1e6 times more precisely: the flat-prior x0
+# posterior's singular values spread 1e6, its pseudo-covariance's eigenvalues 1e12
+ILL_CONDITIONED_FLAT = {
+    "state_dim": 2,
+    "horizon": 1,
+    "transitions": {"phi": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0],
+                    "noise_cov": [[0.0, 0.0], [0.0, 0.0]]},
+    "observation_model": {"c": [[1.0, 0.0], [0.0, 1.0]], "noise_cov": [[1e-12, 0.0], [0.0, 1.0]]},
+    "observations": [[0.0, 0.0]],
+    "initial": {"kind": "flat_on_support"},
+}
+
+
 def small_config(tmp_path, **overrides):
     defaults = dict(
         horizon=40,
@@ -282,6 +295,20 @@ class TestRunModelFile:
         path.write_text(json.dumps(data))
         summary = run_model_file(str(path), "evidence", str(tmp_path / "out"))
         assert summary["log_marginal_likelihood"] == "infinite"
+
+    @pytest.mark.parametrize("pipeline", ["evidence", "smoother"])
+    def test_ill_conditioned_flat_prior_evidence(self, tmp_path, capsys, pipeline):
+        # exact: log N(0; 0, R) + log (2 pi)^{n/2} |R|^{1/2} = 0
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(ILL_CONDITIONED_FLAT))
+        argv = ["run", str(path), "--pipeline", pipeline, "--output", str(tmp_path / "out")]
+        assert main(argv) == 0
+        printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        npt.assert_allclose(float(printed["log_marginal_likelihood"]), 0.0, rtol=0, atol=1e-9)
+        if pipeline == "smoother":
+            with open(tmp_path / "out.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            npt.assert_allclose([float(row["var_0"]) for row in rows], [1e-12, 1e-12], rtol=1e-9)
 
     def test_malformed_json_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -11,11 +11,20 @@ from gmsmooth.forward import (
     propagate_marginals,
     smooth,
 )
-from gmsmooth.linalg import LOG_2PI, pseudo_logdet
+from gmsmooth.linalg import LOG_2PI, RTOL
 from gmsmooth.model import FlatEverywhere, FlatOnSupport, Proper
 
 from conftest import gaussian_logpdf, random_model, smoothing_oracle
 from test_model import scalar_random_walk
+
+_TURN = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+
+
+def conditioned_likelihood(s, rotate, rows=2):
+    """x0-likelihood with c_bar = diag(s, 1) R', y_bar = 0 and log_c = 0: its
+    x0 posterior is N(0, R diag(s^-2, 1) R') on R^2 (rows=1 keeps s's row only)."""
+    r = _TURN if rotate else np.eye(2)
+    return LogQuadLikelihood(0.0, np.zeros(rows), (np.diag([s, 1.0]) @ r.T)[:rows]), r
 
 
 class TestFuseInitial:
@@ -52,8 +61,37 @@ class TestFuseInitial:
             rng.standard_normal(), rng.standard_normal(2), rng.standard_normal((2, 3))
         )
         post, log_l = fuse_initial(lik0, FlatOnSupport())
-        logdet, rank = pseudo_logdet(post.cov)
-        npt.assert_allclose(log_l, lik0.log_c + 0.5 * (rank * LOG_2PI + logdet))
+        # the pseudo-covariance's determinant is 1 / prod s^2 over c_bar's kept singular values
+        sv = np.linalg.svd(lik0.c_bar, compute_uv=False)
+        kept = sv[sv > RTOL * sv[0]]
+        assert post.rank == kept.size
+        expected = lik0.log_c + 0.5 * kept.size * LOG_2PI - np.log(kept).sum()
+        npt.assert_allclose(log_l, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_flat_on_support_evidence_keeps_data_off_the_range(self, batch):
+        # two rows seeing x_1 alone: h(x_1, 0) = c exp(-((x_1 - a)^2 + (x_1 - b)^2) / 2),
+        # whose integral is c exp(-(a - b)^2 / 4) sqrt(pi)
+        y = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0]])[: batch or 1]
+        y = y[0] if batch is None else y
+        lik0 = LogQuadLikelihood(-LOG_2PI, y, [[1.0, 0.0], [1.0, 0.0]])
+        post, log_l = fuse_initial(lik0, FlatOnSupport())
+        assert post.rank == 1
+        gap = y[..., 0] - y[..., 1]
+        npt.assert_allclose(log_l, -LOG_2PI - gap**2 / 4 + 0.5 * np.log(np.pi), rtol=1e-14)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["axes", "rotated"])
+    @pytest.mark.parametrize("s", [1e4, 1e6, 1e8])
+    def test_flat_on_support_evidence_ill_conditioned(self, s, rotate):
+        # an eigenvalue rule on the pseudo-covariance (spread s^2) drops s's direction
+        lik0, _ = conditioned_likelihood(s, rotate)
+        post, log_l = fuse_initial(lik0, FlatOnSupport())
+        assert post.rank == 2
+        npt.assert_allclose(log_l, LOG_2PI - np.log(s), rtol=0, atol=1e-12)
+        # the diffuse-prior limit: log L under N(0, k I) plus log (2 pi k)^{n/2}
+        k = 1e12
+        _, log_l_diffuse = fuse_initial(lik0, Proper(np.zeros(2), k * np.eye(2)))
+        npt.assert_allclose(log_l_diffuse + np.log(2 * np.pi * k), log_l, rtol=0, atol=1e-9)
 
 
 class TestPropagateMarginals:
@@ -129,10 +167,28 @@ class TestLogPathPosterior:
     def test_off_support_point_rejected(self):
         from gmsmooth.backward import DegenerateGaussian
 
-        post0 = DegenerateGaussian([0.0, 0.0], np.diag([1.0, 0.0]), 1)
+        post0 = DegenerateGaussian([0.0, 0.0], np.diag([1.0, 0.0]), 1, 0.0, np.eye(1, 2))
         result = propagate_marginals(post0, [])
         with pytest.raises(ValueError, match="off the support"):
             log_path_posterior(result, [np.array([0.0, 1.0])])
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["axes", "rotated"])
+    @pytest.mark.parametrize("s", [1e4, 1e6, 1e8])
+    def test_flat_posterior_density_at_t0(self, s, rotate):
+        # cov stores its s^-2 eigenvalue only to ~eps s^2: the quadratic form must not read it
+        lik0, r = conditioned_likelihood(s, rotate)
+        result = propagate_marginals(fuse_initial(lik0, FlatOnSupport())[0], [])
+        for z in ([1.0 / s, 0.5], [3.0 / s, 0.0]):  # one and three sigma along s's direction
+            exact = -0.5 * (2 * LOG_2PI - 2 * np.log(s) + (s * z[0]) ** 2 + z[1] ** 2)
+            npt.assert_allclose(log_path_posterior(result, [r @ z]), exact, rtol=1e-9)
+        # with s's row alone the support is the line R (1, 0)
+        lik0, r = conditioned_likelihood(s, rotate, rows=1)
+        result = propagate_marginals(fuse_initial(lik0, FlatOnSupport())[0], [])
+        npt.assert_allclose(
+            log_path_posterior(result, [r @ [1.0 / s, 0.0]]), -0.5 * (LOG_2PI - 2 * np.log(s) + 1)
+        )
+        with pytest.raises(ValueError, match="off the support"):
+            log_path_posterior(result, [r @ [0.0, 0.5]])
 
     @pytest.mark.parametrize("horizon", [0, 3])
     def test_wrong_size_state_rejected(self, horizon):
@@ -215,3 +271,24 @@ class TestFlatPriorLimit:
         for ma, mb in zip(a.marginals, b.marginals):
             npt.assert_allclose(ma.mean, mb.mean)
             npt.assert_allclose(ma.cov, mb.cov)
+
+    def test_flat_on_support_evidence_matches_dense_least_squares(self):
+        # the integral of p(y | x0) over the support, from the stacked observation map:
+        # N(y; H x0 + b, S) at the least-squares x0 times (2 pi)^{r/2} / prod s_i(S^-1/2 H)
+        from gmsmooth.baselines import stacked_observation_map
+
+        deficient = set()
+        for seed in range(40):
+            model = random_model(np.random.default_rng(seed), missing_frac=0.3)
+            model.initial = FlatOnSupport()
+            h, b, s, y = stacked_observation_map(model, 0)
+            l = np.linalg.cholesky(s)
+            hw, yw = np.linalg.solve(l, h), np.linalg.solve(l, y - b)
+            sv = np.linalg.svd(hw, compute_uv=False)
+            kept = sv[sv > RTOL * sv[0]]
+            resid = yw - hw @ (np.linalg.pinv(hw, rcond=RTOL) @ yw)
+            expected = -0.5 * (resid @ resid + (y.size - kept.size) * LOG_2PI)
+            expected -= np.log(np.diag(l)).sum() + np.log(kept).sum()
+            npt.assert_allclose(smooth(model).log_marginal_likelihood, expected, atol=1e-7)
+            deficient.add(kept.size < model.state_dim)
+        assert deficient == {False, True}  # rank-deficient draws, whose data off the range counts

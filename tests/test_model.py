@@ -194,6 +194,11 @@ class TestValidate:
                 (np.diag([-9e307, 0.1]),),
                 "transition noise covariance not PSD at t=1",
             ),
+            (
+                transition_at_t1,
+                ([[1.0, 1e308], [-1e308, 1.0]],),
+                "transition noise covariance at t=1 not symmetric",
+            ),
         ],
         ids=[
             "sensor-factor",
@@ -205,6 +210,7 @@ class TestValidate:
             "wide-transition-factor",
             "indefinite-transition",
             "overflowing-transition",
+            "overflowing-asymmetric-transition",
         ],
     )
     def test_covariance_defect_reported(self, rng, put, args, message):
