@@ -6,9 +6,8 @@ pseudo-observation of x with identity noise. The recursion alternates a
 prediction step (marginalizing one transition, which also yields the forward
 posterior transition kernel) with a fusion step (stacking the pseudo-
 observation with the whitened real observation, QR-compressing when the
-stack grows past the state dimension). Folding a Gaussian into the
-likelihood in array form, as the square-root prediction and the fusion with
-a proper prior both do, is the one kernel :func:`array_update`.
+stack grows past the state dimension). The square-root prediction folds the
+transition noise in by the one array-form kernel :func:`array_update`.
 
 Data may carry a leading batch axis: observation values of shape (B, m)
 give y_bar and offsets of shape (B, .) and log_c of shape (B,) (or a scalar
@@ -145,9 +144,8 @@ def array_update(lik, mean, factor):
     """Fold the Gaussian N(mean, S S') into a likelihood by one QR (S = factor).
 
     The likelihood is a pseudo-observation y_bar = c_bar x + e with identity
-    noise, so both a backward prediction (mean and factor of the transition
-    noise) and the fusion with a proper prior are this one update. The upper
-    triangular factor of the pre-array
+    noise, so a backward prediction folds in the transition noise (its mean
+    and factor) by this one update. The upper triangular factor of the pre-array
 
         [ I                 0   ]
         [ S' c_bar'         S'  ]

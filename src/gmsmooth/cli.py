@@ -75,6 +75,8 @@ def run_demo_batch(config, seeds):
         config.first_obs_index,
     )
     ref = np.asarray(config.reference_initial_state, dtype=float)
+    if ref.shape != (6,) or not np.isfinite(ref).all():
+        raise ValueError(f"reference_initial_state must be 6 finite numbers, got {ref.tolist()}")
     sim_model = replace(inference_model, initial=Proper(ref, np.zeros((6, 6))))
     states, ys = simulate_batch(sim_model, seeds)
     # C order keeps np.mean's summation order, and so every RMSE, unchanged

@@ -3,8 +3,8 @@
 Given the backward pass output, the initial fusion combines the
 x0-likelihood with the prior (proper or flat), yielding the marginal
 likelihood, and the smoothing marginals then follow by propagating through
-the posterior transition kernels. A proper prior is fused by the same array
-update as a square-root backward prediction.
+the posterior transition kernels. A proper prior is fused as one more
+square-root backward prediction, through a transition with phi = 0.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from . import linalg
 from .backward import (
     DegenerateGaussian,
     GaussianMarginal,
-    array_update,
     backward_pass,
     likelihood_moments,
 )
 from .linalg import LOG_2PI
-from .model import FlatEverywhere, FlatOnSupport, Proper
+from .model import FlatEverywhere, FlatOnSupport, Proper, Transition
+from .sqrt import array_predict_backward
 
 _LEAK_TOL = 1e-6  # off-support distance, relative to 1 + |x - mean|, beyond rounding
 
@@ -46,27 +46,22 @@ class SmoothingResult:
 def fuse_initial(lik0, initial):
     """Combine the x0-likelihood with the prior by Bayes' rule.
 
-    Returns (posterior over x0, log marginal likelihood). A proper prior is
-    folded in by one :func:`~gmsmooth.backward.array_update` on its
-    covariance factor. For a flat prior on the likelihood's support, the
-    posterior is the likelihood's own degenerate Gaussian and the evidence
-    integrates h over its support: h at the mean times (2 pi)^{rank/2} and the
-    root pseudo-determinant, both read off the likelihood's SVD. For a prior
-    flat on all of R^n the evidence is infinite.
+    Returns (posterior over x0, log marginal likelihood). A proper prior
+    N(mu0, S0 S0') is the transition into x0 from a state nothing depends on
+    (phi = 0), folded in by one more square-root backward prediction: its
+    kernel is the posterior, and the constant likelihood it leaves,
+    log c' - |y_bar'|^2 / 2, is the evidence. For a flat prior on the
+    likelihood's support, the posterior is the likelihood's own degenerate
+    Gaussian and the evidence integrates h over its support: h at the mean
+    times (2 pi)^{rank/2} and the root pseudo-determinant, both read off the
+    likelihood's SVD. For a prior flat on all of R^n the evidence is infinite.
     """
     if isinstance(initial, Proper):
         prior = initial.with_chol()
-        if lik0.is_empty:
-            return GaussianMarginal(prior.mean, prior.cov), 0.0
-        s0_chol, gain_hat, cov_chol, white = array_update(lik0, prior.mean, prior.chol)
-        mean = prior.mean + white @ gain_hat.T
-        # log N(y_bar; c_bar mu0, S0) plus the (2pi)^{m_bar/2} carried by h
-        log_l = (
-            lik0.log_c
-            - linalg.log_diag(s0_chol)
-            - 0.5 * (white * white).sum(axis=-1)
-        )
-        return GaussianMarginal(mean, cov_chol @ cov_chol.T), log_l
+        into_x0 = Transition(np.zeros_like(prior.cov), prior.mean, prior.cov, prior.chol)
+        lik, kernel = array_predict_backward(lik0, into_x0)
+        log_l = lik.log_c - 0.5 * (lik.y_bar * lik.y_bar).sum(axis=-1)
+        return GaussianMarginal(kernel.offset, kernel.noise_cov), log_l
 
     moments = likelihood_moments(lik0)
     if isinstance(initial, FlatOnSupport):  # log h(mean): data off c_bar's range lowers it

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 
@@ -208,14 +209,10 @@ def validate(model):
     """
     violations = []
     n, big_t = model.state_dim, model.horizon
-    if len(model.transitions) != big_t:
-        violations.append(
-            f"expected {big_t} transitions, got {len(model.transitions)}"
-        )
-    if len(model.observations) != big_t:
-        violations.append(
-            f"expected {big_t} observation records, got {len(model.observations)}"
-        )
+    for what, items in (("transitions", model.transitions),
+                        ("observation records", model.observations)):
+        if len(items) != big_t:
+            violations.append(f"expected {big_t} {what}, got {len(items)}")
     for t, trans in enumerate(model.transitions, start=1):
         at = f" at t={t}"
         _check_array(trans.phi, (n, n), "transition matrix" + at, violations)
@@ -375,32 +372,36 @@ def wiener_acceleration_model(dt, sigmas, lambdas, horizon, first_obs_index):
     """
     sigmas = np.asarray(sigmas, dtype=float).ravel()
     lambdas = np.asarray(lambdas, dtype=float).ravel()
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if sigmas.shape != (2,) or lambdas.shape != (2,):
         raise ValueError("sigmas and lambdas must each have two entries")
-    if np.any(sigmas <= 0.0) or np.any(lambdas <= 0.0):
-        raise ValueError("sigmas and lambdas must be positive")
+    dt = float(dt)
+    names = ("dt", "sigma1", "sigma2", "lambda1", "lambda2")
+    for name, value in zip(names, [dt, *sigmas.tolist(), *lambdas.tolist()]):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if not 1 <= first_obs_index <= horizon:
         raise ValueError("first_obs_index must lie in 1..horizon")
 
-    phi_axis = np.array(
-        [[1.0, dt, 0.5 * dt**2], [0.0, 1.0, dt], [0.0, 0.0, 1.0]]
-    )
-    q_unit = np.array(
-        [
-            [dt**5 / 20.0, dt**4 / 8.0, dt**3 / 6.0],
-            [dt**4 / 8.0, dt**3 / 3.0, dt**2 / 2.0],
-            [dt**3 / 6.0, dt**2 / 2.0, dt],
-        ]
-    )
-    phi = np.zeros((6, 6))
-    q = np.zeros((6, 6))
-    phi[:3, :3] = phi_axis
-    phi[3:, 3:] = phi_axis
-    q[:3, :3] = sigmas[0] ** 2 * q_unit
-    q[3:, 3:] = sigmas[1] ** 2 * q_unit
-    trans = Transition(phi, np.zeros(6), q).with_noise_chol()
+    try:  # a float power that overflows raises
+        phi_axis = np.array(
+            [[1.0, dt, 0.5 * dt**2], [0.0, 1.0, dt], [0.0, 0.0, 1.0]]
+        )
+        q_unit = np.array(
+            [
+                [dt**5 / 20.0, dt**4 / 8.0, dt**3 / 6.0],
+                [dt**4 / 8.0, dt**3 / 3.0, dt**2 / 2.0],
+                [dt**3 / 6.0, dt**2 / 2.0, dt],
+            ]
+        )
+    except OverflowError:
+        raise ValueError(f"dt={dt} overflows the transition or its noise covariance") from None
+    with np.errstate(over="ignore"):
+        q_axes = [s**2 * q_unit for s in sigmas]
+    for name, s, q_axis in zip(names[1:3], sigmas.tolist(), q_axes):
+        if not np.isfinite(q_axis).all():
+            raise ValueError(f"{name}={s} with dt={dt} overflows the noise covariance")
+    phi = scipy.linalg.block_diag(phi_axis, phi_axis)
+    trans = Transition(phi, np.zeros(6), scipy.linalg.block_diag(*q_axes)).with_noise_chol()
 
     c = np.zeros((2, 6))
     c[0, 0] = 1.0

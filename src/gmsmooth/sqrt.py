@@ -5,10 +5,9 @@ by one :func:`~gmsmooth.backward.array_update`, whose QR-factored pre-array
 yields triangular factors of the innovation covariance and of the posterior
 noise with the whitened gain; only this fold differs from the plain
 prediction. Fusion steps involve no covariances and are shared with the plain
-module; the fusion with a proper prior uses the same kernel (see
-:func:`~gmsmooth.forward.fuse_initial`). The forward half is shared too: the
-marginals are propagated in covariance form by
-:func:`~gmsmooth.forward.propagate_marginals`.
+module. The forward half is shared too: a proper prior is fused by one more
+such prediction (:func:`~gmsmooth.forward.fuse_initial`), and the marginals
+are propagated in covariance form by :func:`~gmsmooth.forward.propagate_marginals`.
 """
 
 from __future__ import annotations

@@ -273,6 +273,11 @@ class TestFuseObservation:
         with pytest.raises(ValueError):
             fuse_observation(LogQuadLikelihood.empty(2), LogQuadLikelihood.empty(3))
 
+    @pytest.mark.parametrize("y_bar", [np.zeros(3), np.zeros((4, 3))], ids=["single", "batch"])
+    def test_row_count_mismatch_rejected(self, y_bar):
+        with pytest.raises(ValueError, match="y_bar and c_bar row counts differ"):
+            LogQuadLikelihood(0.0, y_bar, np.ones((2, 2)))
+
 
 class TestBackwardPass:
     def test_single_step(self):

@@ -227,6 +227,42 @@ class TestDemo:
         assert main(["demo", "--replications", "0", "--output", str(out)]) == 2
         assert "replications must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lambda1", "nan"], "lambda1 must be positive and finite, got nan"),
+            (["--lambda2", "inf"], "lambda2 must be positive and finite, got inf"),
+            (["--dt", "nan"], "dt must be positive and finite, got nan"),
+            (["--dt", "1e80"], "dt=1e+80 overflows the transition or its noise covariance"),
+            (["--sigma1", "1e200"], "sigma1=1e+200 with dt=1.0 overflows the noise covariance"),
+            (
+                ["--reference-initial-state", "nan", "0", "0", "0", "0", "0"],
+                "reference_initial_state must be 6 finite numbers, got [nan, 0.0",
+            ),
+        ],
+        ids=["nan-lambda1", "inf-lambda2", "nan-dt", "overflowing-dt", "overflowing-sigma1",
+             "nan-reference"],
+    )
+    def test_bad_argument_exits_2_naming_it(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "demo.csv"
+        base = ["demo", "--horizon", "8", "--first-obs-index", "4", "--output", str(out)]
+        assert main(base + argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(estimator="kalman"), "unknown estimator 'kalman'"),
+            (dict(reference_initial_state=(0.0,) * 5), "reference_initial_state must be 6"),
+        ],
+        ids=["estimator", "short-reference"],
+    )
+    def test_bad_config_rejected(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            run_demo(small_config(tmp_path, **overrides))
+        assert list(tmp_path.iterdir()) == []
+
     def test_parser_defaults_are_demo_config(self):
         args = build_parser().parse_args(["demo"])
         for field in fields(DemoConfig):
@@ -456,6 +492,12 @@ class TestRunModelFile:
         assert f"output {path} would overwrite the model file" in capsys.readouterr().err
         assert (tmp_path / name).read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [name]  # nothing written
+
+    def test_unknown_pipeline_writes_nothing(self, tmp_path):
+        path = self.write_fixture(tmp_path, scalar_random_walk(values=[0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError, match="unknown pipeline 'kalman'; choose from"):
+            run_model_file(path, "kalman", str(tmp_path / "out"))
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_observation_wider_than_state(self, tmp_path, pipeline):

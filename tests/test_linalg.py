@@ -412,7 +412,35 @@ class TestPsdChol:
                 with pytest.raises(linalg.FactorizationError, match="eigenvalue"):
                     factor(np.diag(w))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"S must be square, got shape \(2, 3\)"):
+            linalg.psd_chol(np.ones((2, 3)))
+
     @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]])
     def test_non_finite_eigenvalues_are_not_psd(self, w):
         with pytest.raises(linalg.FactorizationError, match="eigenvalue"):
             linalg.check_psd(np.array(w))
+
+
+class TestBoundaryMatrices:
+    def test_vector_read_as_column(self):
+        pinv, rank = linalg.pseudo_inverse(np.array([3.0, 4.0]))
+        npt.assert_allclose(pinv, [[0.12, 0.16]], rtol=1e-15)
+        assert rank == 1
+        npt.assert_array_equal(linalg.psd_chol(np.array([4.0])), [[2.0]])
+        with pytest.raises(ValueError, match=r"S must be square, got shape \(2, 1\)"):
+            linalg.psd_chol(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("entry, name", [(linalg.psd_chol, "S"), (linalg.pseudo_inverse, "A")])
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (np.ones((2, 2, 2)), r"must be 2-dimensional, got shape \(2, 2, 2\)"),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), "contains non-finite entries"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "contains non-finite entries"),
+        ],
+        ids=["3-D", "nan", "inf"],
+    )
+    def test_rejected_naming_the_matrix(self, entry, name, a, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}"):
+            entry(a)

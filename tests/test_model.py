@@ -412,6 +412,45 @@ class TestWienerAccelerationModel:
         with pytest.raises(ValueError):
             wiener_acceleration_model(1.0, [1, 1], [1, 1], 4, 5)
 
+    @pytest.mark.parametrize(
+        "dt, sigmas, lambdas, message",
+        [
+            (np.nan, [1, 1], [1, 1], "dt must be positive and finite, got nan"),
+            (np.inf, [1, 1], [1, 1], "dt must be positive and finite, got inf"),
+            (1e80, [1, 1], [1, 1], "dt=1e+80 overflows the transition or its noise covariance"),
+            (1.0, [1, np.inf], [1, 1], "sigma2 must be positive and finite, got inf"),
+            (1.0, [1e200, 1], [1, 1], "sigma1=1e+200 with dt=1.0 overflows the noise covariance"),
+            (1e50, [1, 1e40], [1, 1], "sigma2=1e+40 with dt=1e+50 overflows the noise covariance"),
+            (1.0, [1, 1], [np.nan, 1], "lambda1 must be positive and finite, got nan"),
+            (1.0, [1, 1], [1, 0], "lambda2 must be positive and finite, got 0.0"),
+            (1.0, [1, 1, 1], [1, 1], "sigmas and lambdas must each have two entries"),
+            (1.0, [1], [1, 1], "sigmas and lambdas must each have two entries"),
+            (1.0, [1, 1], [[1, 1], [1, 1]], "sigmas and lambdas must each have two entries"),
+        ],
+        ids=[
+            "nan-dt",
+            "inf-dt",
+            "overflowing-dt",
+            "inf-sigma",
+            "overflowing-sigma",
+            "overflowing-sigma-and-dt",
+            "nan-lambda",
+            "zero-lambda",
+            "three-sigmas",
+            "one-sigma",
+            "four-lambdas",
+        ],
+    )
+    def test_invalid_parameter_named(self, dt, sigmas, lambdas, message):
+        with pytest.raises(ValueError) as info:
+            wiener_acceleration_model(dt, sigmas, lambdas, 4, 1)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls", [FlatOnSupport, FlatEverywhere])
+def test_flat_prior_repr(cls):
+    assert repr(cls()) == f"{cls.__name__}()"
+
 
 class TestJsonRoundTrip:
     def test_round_trip_lossless(self, rng):
