@@ -59,7 +59,8 @@ def run_demo_batch(config, seeds):
     """Replications with the given seeds: simulate and estimate all at once.
 
     The replications are simulated together by ``simulate_batch(sim_model,
-    seeds)``, row b bit-identical to ``simulate(sim_model, seeds[b])``. The
+    seeds)``; row b depends only on ``seeds[b]``, so it is bit-identical to
+    ``simulate(sim_model, seeds[b])``, the one-seed case. The
     observation values come as ``(B, 2)`` stacks, so one backward pass, one
     forward sweep and one :func:`grouped_moments` pass (the stacked MLE of
     each x_t) serve all B sequences. Returns a dict of arrays with a leading

@@ -269,43 +269,34 @@ def validate(model):
     return violations
 
 
+def factor_transitions(transitions):
+    """The transitions with their noise factors filled in, once per distinct
+    transition object: a transition shared by every step, as a JSON file's
+    single object or :func:`wiener_acceleration_model` gives, is factored once."""
+    distinct = {id(trans): trans for trans in transitions}
+    factored = {key: trans.with_noise_chol() for key, trans in distinct.items()}
+    return [factored[id(trans)] for trans in transitions]
+
+
 def simulate(model, seed):
     """Draw a state trajectory and observations; deterministic given seed.
 
-    Returns (states, observations) with states indexed t = 0..T and
-    observations indexed t = 1..T (None wherever no sensor is defined).
+    Row 0 of ``simulate_batch(model, [seed])``. Returns (states, observations):
+    a list of states indexed t = 0..T and a list of observations indexed
+    t = 1..T (None wherever no sensor is defined).
     """
-    if not isinstance(model.initial, Proper):
-        raise ValueError("simulation requires a proper initial distribution")
-    rng = np.random.default_rng(seed)
-    init = model.initial.with_chol()
-    x = init.mean + init.chol @ rng.standard_normal(model.state_dim)
-    states = [x]
-    observations = []
-    for t in range(1, model.horizon + 1):
-        trans = model.transition(t).with_noise_chol()
-        x = trans.phi @ x + trans.offset + trans.noise_chol @ rng.standard_normal(
-            model.state_dim
-        )
-        states.append(x)
-        rec = model.observation(t)
-        if rec.model is None:
-            observations.append(None)
-        else:
-            obs = rec.model
-            y = obs.c @ x + obs.noise_chol @ rng.standard_normal(obs.obs_dim)
-            observations.append(y)
-    return states, observations
+    states, observations = simulate_batch(model, [seed])
+    return list(states[0]), [None if y is None else y[0] for y in observations]
 
 
 def simulate_batch(model, seeds):
     """Draw one sequence per seed, all B stepped together.
 
-    Row b equals ``simulate(model, seeds[b])`` bit for bit: each seed's
-    normals come from one draw in :func:`simulate`'s order (numpy's normal
-    stream does not depend on how draws are split), and every product runs
-    as one gemv per sequence, like ``a @ x`` (``x @ a.T`` would run a gemm,
-    which need not round the same).
+    Each seed's normals come from one draw of its own generator, taken in
+    the order the sequence uses them (numpy's normal stream does not depend
+    on how draws are split), so row b does not depend on the other seeds.
+    Every product runs as one gemv per sequence, like ``a @ x`` (``x @ a.T``
+    would run a gemm, which need not round the same).
 
     Returns (states, observations): states ``(B, T+1, n)`` and a length-T
     list of ``(B, m)`` stacks, None wherever no sensor is defined.
@@ -316,6 +307,8 @@ def simulate_batch(model, seeds):
     sensors = [model.observation(t).model for t in range(1, big_t + 1)]
     total = n * (big_t + 1) + sum(s.obs_dim for s in sensors if s is not None)
     normals = np.array([np.random.default_rng(s).standard_normal(total) for s in seeds])
+    if len(normals) == 0:
+        raise ValueError("seeds must hold at least one seed")
     used = 0
 
     def noise(factor):
@@ -329,8 +322,7 @@ def simulate_batch(model, seeds):
     x = init.mean + noise(init.chol)
     states = [x]
     observations = []
-    for t, sensor in enumerate(sensors, start=1):
-        trans = model.transition(t).with_noise_chol()
+    for trans, sensor in zip(factor_transitions(model.transitions), sensors, strict=True):
         x = _gemv(trans.phi, x) + trans.offset + noise(trans.noise_chol)
         states.append(x)
         if sensor is None:
@@ -348,9 +340,10 @@ def _gemv(a, x):
 def attach_observations(model, values):
     """Return a copy of the model with observation values filled in.
 
-    ``values`` is a length-T list of vectors or None, as produced by
-    :func:`simulate`, or of ``(B, m)`` stacks of B such sequences; entries at
-    times without a sensor must be None.
+    ``values`` is a length-T list of vectors or None, as :func:`simulate`
+    returns them, or of ``(B, m)`` stacks of B sequences, as
+    :func:`simulate_batch` returns them; entries at times without a sensor
+    must be None.
     """
     if len(values) != model.horizon:
         raise ValueError("values must have one entry per time step")

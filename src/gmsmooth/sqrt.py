@@ -4,9 +4,11 @@ Covariances are never formed: each prediction folds the transition noise in
 by one :func:`~gmsmooth.backward.array_update`, whose QR-factored pre-array
 yields triangular factors of the innovation covariance and of the posterior
 noise with the whitened gain; only this fold differs from the plain
-prediction. Fusion steps involve no covariances and are shared with the plain
-module. The forward half is shared too: a proper prior is fused by one more
-such prediction (:func:`~gmsmooth.forward.fuse_initial`), and the marginals
+prediction, and the noise factors come from
+:func:`~gmsmooth.model.factor_transitions`, which the simulator uses too.
+Fusion steps involve no covariances and are shared with the plain module.
+The forward half is shared too: a proper prior is fused by one more such
+prediction (:func:`~gmsmooth.forward.fuse_initial`), and the marginals
 are propagated in covariance form by :func:`~gmsmooth.forward.propagate_marginals`.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .backward import LogQuadLikelihood, _posterior_step, array_update, backward_pass
+from .model import factor_transitions
 
 
 def array_predict_backward(lik, trans):
@@ -34,12 +37,7 @@ def sqrt_backward_pass(model):
     """Backward recursion with all predictions in array form.
 
     Transitions without a noise factor (for example from a JSON model file)
-    are factored up front, once per distinct transition object.
+    are factored up front by :func:`~gmsmooth.model.factor_transitions`.
     """
-    distinct = {id(trans): trans for trans in model.transitions}
-    factored = {key: trans.with_noise_chol() for key, trans in distinct.items()}
-    transitions = [factored[id(trans)] for trans in model.transitions]
-    return backward_pass(
-        replace(model, transitions=transitions), predict=array_predict_backward
-    )
-
+    transitions = factor_transitions(model.transitions)
+    return backward_pass(replace(model, transitions=transitions), predict=array_predict_backward)

@@ -11,6 +11,9 @@ from gmsmooth.model import (
     ObservationRecord,
     Proper,
     Transition,
+    model_from_dict,
+    model_to_dict,
+    wiener_acceleration_model,
 )
 
 
@@ -45,6 +48,47 @@ def stacked_mle(model, t, backward=None):
     backward = backward_pass(model) if backward is None else backward
     lik = backward.likelihood_given_t[t - 1] if t else backward.initial_likelihood
     return likelihood_moments(lik)
+
+
+def simulate_loop(model, seed):
+    """Draw a state trajectory and observations; deterministic given seed.
+
+    The per-step reference that ``model.simulate`` and ``model.simulate_batch``
+    must equal bit for bit. Returns (states, observations) with states
+    indexed t = 0..T and observations indexed t = 1..T (None wherever no
+    sensor is defined).
+    """
+    if not isinstance(model.initial, Proper):
+        raise ValueError("simulation requires a proper initial distribution")
+    rng = np.random.default_rng(seed)
+    init = model.initial.with_chol()
+    x = init.mean + init.chol @ rng.standard_normal(model.state_dim)
+    states = [x]
+    observations = []
+    for t in range(1, model.horizon + 1):
+        trans = model.transition(t).with_noise_chol()
+        x = trans.phi @ x + trans.offset + trans.noise_chol @ rng.standard_normal(
+            model.state_dim
+        )
+        states.append(x)
+        rec = model.observation(t)
+        if rec.model is None:
+            observations.append(None)
+        else:
+            obs = rec.model
+            y = obs.c @ x + obs.noise_chol @ rng.standard_normal(obs.obs_dim)
+            observations.append(y)
+    return states, observations
+
+
+def tracking_json_models():
+    """The 6-step tracking model as JSON files load it, with no noise factor
+    set: (shared, expanded), one transition object shared by every step or
+    one per step. t = 1 has no value; the prior is N(0, I)."""
+    data = model_to_dict(wiener_acceleration_model(1.0, (1.0, 1.0), (1.0, 1.0), 6, 2))
+    data["observations"] = [None] + [[0.1 * t, -0.2 * t] for t in range(1, 6)]
+    data["initial"] = {"kind": "proper", "mean": [0.0] * 6, "cov": np.eye(6).tolist()}
+    return model_from_dict(dict(data, transitions=data["transitions"][0])), model_from_dict(data)
 
 
 def random_psd(rng, n, scale=1.0, rank=None):

@@ -8,6 +8,8 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from gmsmooth import linalg
+from gmsmooth.linalg import chol_lower
 from gmsmooth.model import (
     FlatEverywhere,
     FlatOnSupport,
@@ -29,7 +31,7 @@ from gmsmooth.model import (
 from gmsmooth.forward import smooth
 from gmsmooth.sqrt import sqrt_backward_pass
 
-from conftest import random_model
+from conftest import random_model, tracking_json_models
 
 
 def scalar_random_walk(horizon=3, q=1.0, r=1.0, values=None):
@@ -328,6 +330,22 @@ class TestSimulate:
         for draw in (lambda: simulate(model, seed=0), lambda: simulate_batch(model, [0, 1])):
             with pytest.raises(ValueError, match="proper initial"):
                 draw()
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ValueError, match="seeds"):
+            simulate_batch(scalar_random_walk(values=[1.0, 2.0, 3.0]), [])
+
+    def test_each_distinct_transition_factored_once(self, monkeypatch):
+        # the prior's factor is one call of each count
+        shared, expanded = tracking_json_models()
+        calls = []
+        monkeypatch.setattr(linalg, "psd_chol", lambda s: calls.append(s) or chol_lower(s))
+        counts = []
+        for model in (shared, expanded):
+            calls.clear()
+            simulate_batch(model, [0, 1])
+            counts.append(len(calls))
+        assert counts == [2, 7]
 
 
 class TestWienerAccelerationModel:

@@ -1,5 +1,5 @@
 """Property tests of both backward passes against the dense joint-Gaussian oracle,
-and of the batched simulation against the single-sequence one.
+and of both simulators against the per-step reference loop.
 
 Hypothesis draws the structure of a model -- state dimension n in 1..4,
 observation dimension m in 1..n+2, horizon T in 1..10, and per step whether
@@ -34,7 +34,7 @@ from gmsmooth.model import (
 )
 from gmsmooth.sqrt import sqrt_backward_pass
 
-from conftest import random_psd, smoothing_oracle
+from conftest import random_psd, simulate_loop, smoothing_oracle
 
 TOL = 1e-8  # the acceptance criteria's oracle tolerance
 BATCH = 3
@@ -196,9 +196,17 @@ def test_simulate_batch_rows_equal_simulate(offsets, model, seed, zero_prior_cov
     states, observations = simulate_batch(model, seeds)
     assert states.shape == (len(seeds), model.horizon + 1, model.state_dim)
     for b, s in enumerate(seeds):
-        states_ref, observations_ref = simulate(model, s)
+        states_ref, observations_ref = simulate_loop(model, s)
         npt.assert_array_equal(states[b], states_ref)
         for y, y_ref in zip(observations, observations_ref, strict=True):
             assert (y is None) == (y_ref is None)
             if y is not None:
                 npt.assert_array_equal(y[b], y_ref)
+        # simulate returns the reference's lists of vectors
+        states_one, observations_one = simulate(model, s)
+        for x, x_ref in zip(states_one, states_ref, strict=True):
+            npt.assert_array_equal(x, x_ref, strict=True)
+        for y, y_ref in zip(observations_one, observations_ref, strict=True):
+            assert (y is None) == (y_ref is None)
+            if y is not None:
+                npt.assert_array_equal(y, y_ref, strict=True)

@@ -23,7 +23,7 @@ from gmsmooth.model import (
 )
 from gmsmooth.sqrt import array_predict_backward, sqrt_backward_pass
 
-from conftest import gaussian_logpdf, random_model
+from conftest import gaussian_logpdf, random_model, tracking_json_models
 
 
 class TestArrayPredictBackward:
@@ -178,11 +178,7 @@ class TestPlainSqrtEquivalence:
             npt.assert_allclose(tb.noise_cov, ta.noise_cov, atol=1e-8)
 
     def test_each_distinct_transition_factored_once(self, monkeypatch):
-        data = model_to_dict(wiener_acceleration_model(1.0, (1.0, 1.0), (1.0, 1.0), 6, 2))
-        data["observations"] = [None] + [[0.1 * t, -0.2 * t] for t in range(1, 6)]
-        data["initial"] = {"kind": "proper", "mean": [0.0] * 6, "cov": np.eye(6).tolist()}
-        expanded = model_from_dict(data)
-        shared = model_from_dict(dict(data, transitions=data["transitions"][0]))
+        shared, expanded = tracking_json_models()
         calls = []
         monkeypatch.setattr(linalg, "psd_chol", lambda s: calls.append(s) or chol_lower(s))
         counts = []
