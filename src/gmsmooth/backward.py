@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import LOG_2PI
 from .model import Transition
 
 
@@ -117,26 +116,20 @@ class BackwardPassResult:
         return self.likelihood_given_prev[0]
 
 
-def terminal_init(obs, whitened=None):
+def terminal_init(obs):
     """Whitened single-observation likelihood; the unit likelihood if missing.
 
-    Only y_bar = L^{-1} y depends on the value: ``whitened``, a dict kept for
-    one backward pass, holds each sensor's read-only c_bar = L^{-1} C and
-    log_c, so a sensor object shared by many steps is whitened once.
+    Only y_bar = L^{-1} y depends on the value: c_bar = L^{-1} C and log_c are
+    the sensor's :attr:`~gmsmooth.model.ObservationModel.whitened` pair,
+    computed once per sensor object, so a sensor shared by many steps is
+    whitened once.
     """
     if obs.is_missing:
         if obs.model is None:
             raise ValueError("missing observation without a sensor has no state dim")
         return LogQuadLikelihood.empty(obs.model.c.shape[1])
-    sensor = obs.model
-    l = sensor.noise_chol
-    whitened = {} if whitened is None else whitened
-    if id(sensor) not in whitened:  # the entry holds the sensor: no other object takes its id
-        c_bar = linalg.solve_triangular(l, sensor.c)
-        c_bar.flags.writeable = False
-        whitened[id(sensor)] = sensor, c_bar, -0.5 * sensor.obs_dim * LOG_2PI - linalg.log_diag(l)
-    _, c_bar, log_c = whitened[id(sensor)]
-    y_bar = linalg.solve_triangular(l, obs.value.T).T
+    c_bar, log_c = obs.model.whitened
+    y_bar = linalg.solve_triangular(obs.model.noise_chol, obs.value.T).T
     return LogQuadLikelihood(log_c, y_bar, c_bar)
 
 
@@ -194,7 +187,7 @@ def _clamp_psd(q):
     return q
 
 
-def _posterior_step(lik, trans, l, gain, y_new, noise_cov, noise_chol):
+def _posterior_step(lik, trans, l, gain, y_new, noise_cov):
     """The assembly both predictions share once each has folded in the noise.
 
     From the innovation factor L (L L' = I + C Q C'), the whitened gain K and
@@ -204,7 +197,7 @@ def _posterior_step(lik, trans, l, gain, y_new, noise_cov, noise_chol):
     lik_prev = LogQuadLikelihood(lik.log_c - linalg.log_diag(l), y_new, c_new)
     phi_post = trans.phi - gain @ c_new
     u_post = trans.offset + y_new @ gain.T
-    return lik_prev, Transition(phi_post, u_post, noise_cov, noise_chol)
+    return lik_prev, Transition(phi_post, u_post, noise_cov)
 
 
 def predict_backward(lik, trans):
@@ -236,7 +229,7 @@ def predict_backward(lik, trans):
     resid = lik.y_bar - c_bar @ trans.offset
     y_new = linalg.solve_triangular(l_hat, resid.T).T
     w = linalg.solve_triangular(l_hat, cq)
-    return _posterior_step(lik, trans, l_hat, w.T, y_new, _clamp_psd(q - w.T @ w), None)
+    return _posterior_step(lik, trans, l_hat, w.T, y_new, _clamp_psd(q - w.T @ w))
 
 
 def fuse_observation(lik_prev, obs_lik):
@@ -285,10 +278,9 @@ def backward_pass(model, predict=predict_backward):
     transitions_post = [None] * big_t
 
     unit = lik = LogQuadLikelihood.empty(n)  # h over x_T with no data yet
-    whitened = {}
     for t in range(big_t, 0, -1):
         rec = model.observation(t)
-        obs_lik = unit if rec.is_missing else terminal_init(rec, whitened)
+        obs_lik = unit if rec.is_missing else terminal_init(rec)
         lik_t = fuse_observation(lik, obs_lik)
         likelihood_given_t[t - 1] = lik_t
         lik, post = predict(lik_t, model.transition(t))

@@ -57,8 +57,7 @@ def fuse_initial(lik0, initial):
     likelihood's SVD. For a prior flat on all of R^n the evidence is infinite.
     """
     if isinstance(initial, Proper):
-        prior = initial.with_chol()
-        into_x0 = Transition(np.zeros_like(prior.cov), prior.mean, prior.cov, prior.chol)
+        into_x0 = Transition(np.zeros_like(initial.cov), initial.mean, initial.cov)
         lik, kernel = array_predict_backward(lik0, into_x0)
         log_l = lik.log_c - 0.5 * (lik.y_bar * lik.y_bar).sum(axis=-1)
         return GaussianMarginal(kernel.offset, kernel.noise_cov), log_l

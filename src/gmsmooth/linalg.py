@@ -11,15 +11,16 @@ Everything downstream relies on two conventions fixed here:
 Kernel contract: the hot kernels :func:`chol_lower`, :func:`solve_triangular`,
 :func:`qr_r` and :func:`qr_upper` take finite float arrays of matching shapes
 and scan nothing. Finiteness is checked once, at the boundary:
-``model.validate`` checks every model array and the model constructors factor
-only finite covariances, and everything the recursion derives from a valid
-model is finite. The kernels call LAPACK ``potrf``, ``trtrs``, ``geqrf`` and
-``orgqr`` directly with scipy's own call pattern, so their results are
-bit-identical to ``scipy.linalg.cholesky``/``solve_triangular``/``qr``; QR
-factors come back C-ordered, as numpy's do, and ``potrf``/``trtrs`` failures
-are read from LAPACK's ``info``. ``qr_upper(a)`` is the complete
-factorization (square Q), and ``solve_triangular(l, b, trans=False)`` solves
-with a lower-triangular ``l`` or its transpose.
+``model.validate`` checks every model array, and reads a model object's
+factor only once its covariance is finite, square and symmetric; everything
+the recursion derives from a valid model is finite. The kernels call LAPACK
+``potrf``, ``trtrs``, ``geqrf`` and ``orgqr`` directly with scipy's own call
+pattern, so their results are bit-identical to
+``scipy.linalg.cholesky``/``solve_triangular``/``qr``; QR factors come back
+C-ordered, as numpy's do, and ``potrf``/``trtrs`` failures are read from
+LAPACK's ``info``. ``qr_upper(a)`` is the complete factorization (square Q),
+and ``solve_triangular(l, b, trans=False)`` solves with a lower-triangular
+``l`` or its transpose.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -35,48 +36,56 @@ class Transition:
     phi: np.ndarray
     offset: np.ndarray
     noise_cov: np.ndarray
-    noise_chol: np.ndarray | None = None
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
         self.offset = linalg.as_data(self.offset)
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
-        if self.noise_chol is not None:
-            self.noise_chol = np.asarray(self.noise_chol, dtype=float)
+
+    @cached_property
+    def noise_chol(self):
+        """PSD triangular factor of noise_cov, computed on first read."""
+        return linalg.psd_chol(self.noise_cov)
 
     def with_noise_chol(self):
-        """Return a copy with a PSD triangular factor of noise_cov filled in."""
-        if self.noise_chol is not None:
-            return self
-        return replace(self, noise_chol=linalg.psd_chol(self.noise_cov))
+        """Compute the noise factor now and return this transition."""
+        _ = self.noise_chol
+        return self
 
 
 @dataclass
 class ObservationModel:
-    """Linear-Gaussian sensor y = c x + v with PD noise covariance."""
+    """Linear-Gaussian sensor y = c x + v with PD noise covariance.
+
+    The factor and the whitened sensor are computed on first read, once per
+    object; :func:`validate` reads the factor only once noise_cov is finite,
+    square and symmetric, as ``chol_lower`` scans nothing.
+    """
 
     c: np.ndarray
     noise_cov: np.ndarray
-    noise_chol: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
-        if self.noise_chol is None:
-            # chol_lower scans nothing (a NaN gives a NaN factor), so only a
-            # finite square matrix is factored; validate() reports the rest
-            cov = self.noise_cov
-            if cov.ndim == 2 and cov.shape[0] == cov.shape[1] and np.isfinite(cov).all():
-                try:
-                    self.noise_chol = linalg.chol_lower(cov)
-                except linalg.FactorizationError:
-                    pass  # not PD: left unset for validate() to report
-        else:
-            self.noise_chol = np.asarray(self.noise_chol, dtype=float)
 
     @property
     def obs_dim(self):
         return self.c.shape[0]
+
+    @cached_property
+    def noise_chol(self):
+        """Lower Cholesky factor L of noise_cov."""
+        return linalg.chol_lower(self.noise_cov)
+
+    @cached_property
+    def whitened(self):
+        """(c_bar, log_c) = (L^{-1} c, -m/2 log 2 pi - log det L): all of a whitened
+        observation but y_bar; c_bar is read-only, as every step with this sensor shares it."""
+        l = self.noise_chol
+        c_bar = linalg.solve_triangular(l, self.c)
+        c_bar.flags.writeable = False
+        return c_bar, -0.5 * self.obs_dim * linalg.LOG_2PI - linalg.log_diag(l)
 
 
 @dataclass
@@ -105,18 +114,15 @@ class Proper:
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray | None = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).ravel()
         self.cov = np.asarray(self.cov, dtype=float)
-        if self.chol is not None:
-            self.chol = np.asarray(self.chol, dtype=float)
 
-    def with_chol(self):
-        if self.chol is not None:
-            return self
-        return replace(self, chol=linalg.psd_chol(self.cov))
+    @cached_property
+    def chol(self):
+        """PSD triangular factor of cov, computed on first read."""
+        return linalg.psd_chol(self.cov)
 
 
 class FlatOnSupport:
@@ -162,9 +168,7 @@ def _batch_text(value):
 
 
 def _check_array(a, shape, name, violations):
-    """True if ``a`` is unset, or finite and of ``shape`` (if set); else record why not."""
-    if a is None:
-        return True
+    """True if ``a`` is finite and of ``shape`` (if set); else record why not."""
     ok = bool(np.isfinite(a).all())
     if not ok:
         violations.append(f"{name} is not finite")
@@ -174,30 +178,21 @@ def _check_array(a, shape, name, violations):
     return ok
 
 
-def _check_cov(cov, factor, dim, name, factor_name, at, violations, definite=False):
-    """Check a covariance and its factor, if set, in order: both finite and
-    ``(dim, dim)``, the covariance symmetric, PSD by linalg's rule (PD, one
-    Cholesky, if ``definite``) and reconstructed by the factor, each check
-    only if those before it pass. The recursion whitens by a sensor's
-    factor: a definite one must also be lower triangular, diagonal > 0."""
-    ok = _check_array(cov, (dim, dim), name + at, violations)
-    if not (_check_array(factor, (dim, dim), factor_name + at, violations) and ok):
+def _check_cov(cov, read_factor, dim, name, at, violations, definite=False):
+    """Check a covariance in order: finite and ``(dim, dim)``, symmetric, and
+    PSD by linalg's rule (PD, one Cholesky, if ``definite``), each check only
+    if those before it pass. The last calls ``read_factor``, the first read
+    of the owning object's own factor: the one the recursion uses."""
+    if not _check_array(cov, (dim, dim), name + at, violations):
         return
     tol = linalg.RTOL * max(1.0, abs(cov).max(initial=0.0))
     if abs(0.5 * cov - 0.5 * cov.T).max(initial=0.0) > 0.5 * tol:  # halved: no overflow
         violations.append(f"{name}{at} not symmetric")
         return
     try:
-        chol = (linalg.chol_lower if definite else linalg.psd_chol)(cov)
+        read_factor()
     except linalg.FactorizationError:
         violations.append(f"{name} not {'PD' if definite else 'PSD'}{at}")
-        return
-    if factor is None or np.array_equal(factor, chol):  # the factor the model computed
-        return
-    if abs(factor @ factor.T - cov).max(initial=0.0) > tol:
-        violations.append(f"{factor_name}{at} does not reconstruct covariance")
-    elif definite and not (np.array_equal(factor, np.tril(factor)) and all(np.diag(factor) > 0)):
-        violations.append(f"{factor_name}{at} is not lower triangular with a positive diagonal")
 
 
 def validate(model):
@@ -205,7 +200,8 @@ def validate(model):
 
     Every model array is checked for finiteness and shape, by name and time
     index, before any check that factors it; the transition noise, sensor
-    noise and prior covariances all go through :func:`_check_cov`.
+    noise and prior covariances all go through :func:`_check_cov`, whose
+    PSD (PD) check computes the object's own factor for the recursion to reuse.
     """
     violations = []
     n, big_t = model.state_dim, model.horizon
@@ -217,8 +213,8 @@ def validate(model):
         at = f" at t={t}"
         _check_array(trans.phi, (n, n), "transition matrix" + at, violations)
         _check_array(trans.offset, (n,), "transition offset" + at, violations)
-        _check_cov(trans.noise_cov, trans.noise_chol, n, "transition noise covariance",
-                   "transition noise factor", at, violations)
+        _check_cov(trans.noise_cov, lambda: trans.noise_chol, n,
+                   "transition noise covariance", at, violations)
     n_present = 0
     first = None  # (t, value) of the first present step
     for t, rec in enumerate(model.observations, start=1):
@@ -235,8 +231,8 @@ def validate(model):
         m = obs.c.shape[0]
         at = f" at t={t}"
         _check_array(obs.c, (m, n), "observation matrix" + at, violations)
-        _check_cov(obs.noise_cov, obs.noise_chol, m, "observation covariance",
-                   "observation noise factor", at, violations, definite=True)
+        _check_cov(obs.noise_cov, lambda: obs.noise_chol, m, "observation covariance",
+                   at, violations, definite=True)
         if rec.value is not None:
             n_present += 1
             value = rec.value
@@ -262,20 +258,10 @@ def validate(model):
     if isinstance(model.initial, Proper):
         init = model.initial
         _check_array(init.mean, (n,), "initial mean", violations)
-        _check_cov(init.cov, init.chol, n, "initial covariance",
-                   "initial covariance factor", "", violations)
+        _check_cov(init.cov, lambda: init.chol, n, "initial covariance", "", violations)
     if n_present == 0:
         violations.append("model has no non-missing observation")
     return violations
-
-
-def factor_transitions(transitions):
-    """The transitions with their noise factors filled in, once per distinct
-    transition object: a transition shared by every step, as a JSON file's
-    single object or :func:`wiener_acceleration_model` gives, is factored once."""
-    distinct = {id(trans): trans for trans in transitions}
-    factored = {key: trans.with_noise_chol() for key, trans in distinct.items()}
-    return [factored[id(trans)] for trans in transitions]
 
 
 def simulate(model, seed):
@@ -318,11 +304,10 @@ def simulate_batch(model, seeds):
         used += factor.shape[1]
         return _gemv(factor, block)
 
-    init = model.initial.with_chol()
-    x = init.mean + noise(init.chol)
+    x = model.initial.mean + noise(model.initial.chol)
     states = [x]
     observations = []
-    for trans, sensor in zip(factor_transitions(model.transitions), sensors, strict=True):
+    for trans, sensor in zip(model.transitions, sensors, strict=True):
         x = _gemv(trans.phi, x) + trans.offset + noise(trans.noise_chol)
         states.append(x)
         if sensor is None:
@@ -394,7 +379,7 @@ def wiener_acceleration_model(dt, sigmas, lambdas, horizon, first_obs_index):
         if not np.isfinite(q_axis).all():
             raise ValueError(f"{name}={s} with dt={dt} overflows the noise covariance")
     phi = scipy.linalg.block_diag(phi_axis, phi_axis)
-    trans = Transition(phi, np.zeros(6), scipy.linalg.block_diag(*q_axes)).with_noise_chol()
+    trans = Transition(phi, np.zeros(6), scipy.linalg.block_diag(*q_axes))
 
     c = np.zeros((2, 6))
     c[0, 0] = 1.0

@@ -61,7 +61,7 @@ def simulate_loop(model, seed):
     if not isinstance(model.initial, Proper):
         raise ValueError("simulation requires a proper initial distribution")
     rng = np.random.default_rng(seed)
-    init = model.initial.with_chol()
+    init = model.initial
     x = init.mean + init.chol @ rng.standard_normal(model.state_dim)
     states = [x]
     observations = []
@@ -138,7 +138,7 @@ def random_model(
         )
 
     if initial == "proper":
-        init = Proper(rng.standard_normal(n), random_psd(rng, n)).with_chol()
+        init = Proper(rng.standard_normal(n), random_psd(rng, n))
     else:
         init = initial
     return GaussMarkovModel(n, horizon, transitions, records, init)

@@ -67,15 +67,17 @@ class TestTerminalInit:
     def test_whitens_each_sensor_object_once(self, rng):
         sensor = ObservationModel(rng.standard_normal((2, 3)), np.diag([4.0, 9.0]))
         twin = copy.deepcopy(sensor)
-        whitened = {}
-        first = terminal_init(ObservationRecord(1, sensor, [1.0, 2.0]), whitened)
-        again = terminal_init(ObservationRecord(2, sensor, [3.0, 4.0]), whitened)
-        other = terminal_init(ObservationRecord(3, twin, [1.0, 2.0]), whitened)
-        assert again.c_bar is first.c_bar and other.c_bar is not first.c_bar
-        assert len(whitened) == 2
-        assert not first.c_bar.flags.writeable  # shared by the steps, so read-only
-        uncached = terminal_init(ObservationRecord(2, sensor, [3.0, 4.0]))
-        for got, want in ((again, uncached), (other, first)):
+        first = terminal_init(ObservationRecord(1, sensor, [1.0, 2.0]))
+        again = terminal_init(ObservationRecord(2, sensor, [3.0, 4.0]))
+        other = terminal_init(ObservationRecord(3, twin, [1.0, 2.0]))
+        c_bar, log_c = sensor.whitened
+        assert first.c_bar is c_bar and again.c_bar is c_bar and sensor.whitened[0] is c_bar
+        assert other.c_bar is twin.whitened[0] and other.c_bar is not c_bar
+        assert not c_bar.flags.writeable  # shared by the steps, so read-only
+        assert first.log_c == again.log_c == log_c
+        fresh = terminal_init(ObservationRecord(2, replace(sensor), [3.0, 4.0]))
+        assert fresh.c_bar is not c_bar
+        for got, want in ((again, fresh), (other, first)):
             assert got.log_c == want.log_c
             assert np.array_equal(got.y_bar, want.y_bar) and np.array_equal(got.c_bar, want.c_bar)
 
@@ -391,7 +393,10 @@ def _uncached_pass(model):
     lik = LogQuadLikelihood.empty(n)
     for t in range(big_t, 0, -1):
         rec = model.observation(t)
-        obs = LogQuadLikelihood.empty(n) if rec.is_missing else terminal_init(rec)
+        if rec.is_missing:
+            obs = LogQuadLikelihood.empty(n)
+        else:  # a new sensor object: no whitened pair cached on it yet
+            obs = terminal_init(replace(rec, model=replace(rec.model)))
         given_t[t - 1] = fuse_observation(lik, obs)
         lik, posts[t - 1] = predict_backward(given_t[t - 1], model.transition(t))
         given_prev[t - 1] = lik

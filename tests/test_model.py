@@ -45,7 +45,7 @@ def scalar_random_walk(horizon=3, q=1.0, r=1.0, values=None):
         horizon,
         [Transition([[1.0]], [0.0], [[q]]).with_noise_chol()] * horizon,
         records,
-        Proper([0.0], [[1.0]]).with_chol(),
+        Proper([0.0], [[1.0]]),
     )
 
 
@@ -70,10 +70,7 @@ class TestValidate:
         assert validate(model) == []
 
     def test_non_pd_observation_covariance(self):
-        sensor = ObservationModel.__new__(ObservationModel)
-        sensor.c = np.array([[1.0]])
-        sensor.noise_cov = np.array([[0.0]])
-        sensor.noise_chol = np.array([[0.0]])
+        sensor = ObservationModel([[1.0]], [[0.0]])
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         model.observations[1] = ObservationRecord(2, sensor, np.array([1.0]))
         assert any("not PD at t=2" in v for v in validate(model))
@@ -128,19 +125,6 @@ class TestValidate:
         holder[last] = np.full(np.shape(holder[last]), np.nan).tolist()
         assert validate(model_from_dict(data)) == [message]
 
-    def test_non_finite_supplied_factors_reported(self):
-        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
-        model.transitions[0] = Transition([[1.0]], [0.0], [[1.0]], [[np.nan]])
-        model.observations[1] = ObservationRecord(
-            2, ObservationModel([[1.0]], [[1.0]], [[np.inf]]), [2.0]
-        )
-        model.initial = Proper([0.0], [[1.0]], [[np.nan]])
-        assert validate(model) == [
-            "transition noise factor at t=1 is not finite",
-            "observation noise factor at t=2 is not finite",
-            "initial covariance factor is not finite",
-        ]
-
     @pytest.mark.parametrize(
         "noise_cov, message",
         [
@@ -151,7 +135,6 @@ class TestValidate:
     )
     def test_unfactorable_noise_covariance_left_to_validate(self, noise_cov, message):
         sensor = ObservationModel([[1.0]], noise_cov)
-        assert sensor.noise_chol is None
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         model.observations[1] = ObservationRecord(2, sensor, np.array([2.0]))
         assert validate(model) == [message]
@@ -159,33 +142,8 @@ class TestValidate:
     @pytest.mark.parametrize(
         "put, args, message",
         [
-            (
-                sensor_at_t2,
-                (np.eye(2), np.eye(2), 3.0 * np.eye(2)),
-                "observation noise factor at t=2 does not reconstruct covariance",
-            ),
-            (
-                prior,
-                (np.eye(2), 3.0 * np.eye(2)),
-                "initial covariance factor does not reconstruct covariance",
-            ),
             (sensor_at_t2, (np.eye(2), ASYMMETRIC), "observation covariance at t=2 not symmetric"),
             (prior, (ASYMMETRIC,), "initial covariance not symmetric"),
-            (
-                sensor_at_t2,
-                (np.eye(2), np.eye(2), -np.eye(2)),
-                "observation noise factor at t=2 is not lower triangular with a positive diagonal",
-            ),
-            (
-                sensor_at_t2,
-                (np.eye(2), np.eye(2), [[0.0, 1.0], [1.0, 0.0]]),
-                "observation noise factor at t=2 is not lower triangular with a positive diagonal",
-            ),
-            (
-                transition_at_t1,
-                (np.eye(2), np.eye(2, 3)),
-                "transition noise factor at t=1 has shape (2, 3)",
-            ),
             (
                 transition_at_t1,
                 (np.diag([1.0, -1.0]),),
@@ -203,13 +161,8 @@ class TestValidate:
             ),
         ],
         ids=[
-            "sensor-factor",
-            "prior-factor",
             "asymmetric-sensor",
             "asymmetric-prior",
-            "negative-sensor-factor",
-            "full-sensor-factor",
-            "wide-transition-factor",
             "indefinite-transition",
             "overflowing-transition",
             "overflowing-asymmetric-transition",
@@ -294,7 +247,7 @@ class TestSimulate:
             4,
             [Transition([[1.0]], [0.0], [[0.0]]).with_noise_chol()] * 4,
             [ObservationRecord(t, sensor) for t in range(1, 5)],
-            Proper([3.0], [[0.0]]).with_chol(),
+            Proper([3.0], [[0.0]]),
         )
         states, _ = simulate(model, seed=0)
         for x in states:
@@ -346,6 +299,27 @@ class TestSimulate:
             simulate_batch(model, [0, 1])
             counts.append(len(calls))
         assert counts == [2, 7]
+
+
+class TestFactorsOnce:
+    def test_each_covariance_factored_once_per_object(self, monkeypatch):
+        # loading factors nothing; validate's PD/PSD checks are the first
+        # reads of each object's own factor, and the square-root pass and the
+        # simulator read the same ones. Per model: one prior, 1 or 6 distinct
+        # transitions (psd_chol) and 5 sensors (chol_lower)
+        psd_calls, chol_calls = [], []
+        monkeypatch.setattr(linalg, "psd_chol", lambda s: psd_calls.append(s) or chol_lower(s))
+        monkeypatch.setattr(linalg, "chol_lower", lambda s: chol_calls.append(s) or chol_lower(s))
+        models = tracking_json_models()
+        counts = [(len(psd_calls), len(chol_calls))]
+        for model in models:
+            psd_calls.clear()
+            chol_calls.clear()
+            assert validate(model) == []
+            sqrt_backward_pass(model)
+            simulate_batch(model, [0, 1])
+            counts.append((len(psd_calls), len(chol_calls)))
+        assert counts == [(0, 0), (2, 5), (7, 5)]
 
 
 class TestWienerAccelerationModel:

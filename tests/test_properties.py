@@ -188,8 +188,8 @@ def test_batch_matches_single_sequences(model, seed):
 @pytest.mark.parametrize("offsets", [[0], [0, 1, 2], [0, 1, 0]], ids=["B1", "B3", "repeat"])
 @given(models(), st.integers(0, 2**32 - 1), st.booleans())
 def test_simulate_batch_rows_equal_simulate(offsets, model, seed, zero_prior_cov):
-    # transitions come without noise_chol, as JSON files load them, so zero Q
-    # takes psd_chol's eigh fallback; the demo's prior has zero covariance
+    # each transition derives its noise factor by psd_chol on first read, so
+    # zero Q takes its eigh fallback; the demo's prior has zero covariance
     if zero_prior_cov:
         model = replace(model, initial=Proper(model.initial.mean, np.zeros_like(model.initial.cov)))
     seeds = [seed + k for k in offsets]

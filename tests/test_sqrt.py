@@ -60,11 +60,6 @@ class TestArrayPredictBackward:
         # R_hat = I so whitening is a no-op
         npt.assert_allclose(prev.y_bar, lik.y_bar - lik.c_bar @ trans.offset, atol=1e-12)
 
-    def test_requires_noise_chol(self):
-        trans = Transition([[1.0]], [0.0], [[1.0]])
-        with pytest.raises(ValueError, match="noise_chol"):
-            array_predict_backward(LogQuadLikelihood(0.0, [1.0], [[1.0]]), trans)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_plain_prediction(self, seed):
         rng = np.random.default_rng(seed)
@@ -191,10 +186,9 @@ class TestPlainSqrtEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_json_model_without_noise_factor(self, seed):
-        # model_from_dict leaves noise_chol unset; the sqrt pass factors it
+        # model_from_dict's transitions factor their noise on first read, in the sqrt pass
         rng = np.random.default_rng(seed)
         model = model_from_dict(model_to_dict(random_model(rng, zero_q_frac=0.2)))
-        assert all(trans.noise_chol is None for trans in model.transitions)
         plain = backward_pass(model)
         via_array = sqrt_backward_pass(model)
         for t in range(model.horizon):
@@ -247,10 +241,9 @@ def ill_conditioned_model(cond=1e12, horizon=6, seed=0):
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q = (v * w[None, :]) @ v.T
     q = 0.5 * (q + q.T)
-    q_chol = np.linalg.cholesky(q)
     assert np.linalg.cond(q) >= 1e12 / 2
     transitions = [
-        Transition(rng.standard_normal((n, n)) * 0.7, rng.standard_normal(n), q, q_chol)
+        Transition(rng.standard_normal((n, n)) * 0.7, rng.standard_normal(n), q)
         for _ in range(horizon)
     ]
     records = [
