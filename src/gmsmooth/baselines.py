@@ -32,13 +32,10 @@ class JointGaussian:
     obs_values: np.ndarray
 
 
-def build_joint(model, initial=None):
-    """Dense mean/covariance of x_{0:T} by forward accumulation.
-
-    ``initial`` may supply a :class:`Proper` substitute for models with a
-    flat prior (e.g. flat-limit tests).
-    """
-    init = initial if initial is not None else model.initial
+def build_joint(model):
+    """Dense mean/covariance of x_{0:T} by forward accumulation; the model's
+    prior must be proper."""
+    init = model.initial
     if not isinstance(init, Proper):
         raise ValueError("dense joint requires a proper initial distribution")
     n, big_t = model.state_dim, model.horizon

@@ -22,7 +22,7 @@ from .backward import (
     likelihood_moments,
 )
 from .linalg import LOG_2PI
-from .model import FlatEverywhere, FlatOnSupport, Proper, Transition
+from .model import FlatEverywhere, FlatOnSupport, Proper
 from .sqrt import array_predict_backward
 
 _LEAK_TOL = 1e-6  # off-support distance, relative to 1 + |x - mean|, beyond rounding
@@ -47,9 +47,10 @@ def fuse_initial(lik0, initial):
     """Combine the x0-likelihood with the prior by Bayes' rule.
 
     Returns (posterior over x0, log marginal likelihood). A proper prior
-    N(mu0, S0 S0') is the transition into x0 from a state nothing depends on
-    (phi = 0), folded in by one more square-root backward prediction: its
-    kernel is the posterior, and the constant likelihood it leaves,
+    N(mu0, S0 S0') is its own transition into x0 from a state nothing
+    depends on (phi = 0), ``Proper.into_x0``, built and factored once per
+    prior. One more square-root backward prediction through it folds it in:
+    its kernel is the posterior, and the constant likelihood it leaves,
     log c' - |y_bar'|^2 / 2, is the evidence. For a flat prior on the
     likelihood's support, the posterior is the likelihood's own degenerate
     Gaussian and the evidence integrates h over its support: h at the mean
@@ -57,8 +58,7 @@ def fuse_initial(lik0, initial):
     likelihood's SVD. For a prior flat on all of R^n the evidence is infinite.
     """
     if isinstance(initial, Proper):
-        into_x0 = Transition(np.zeros_like(initial.cov), initial.mean, initial.cov)
-        lik, kernel = array_predict_backward(lik0, into_x0)
+        lik, kernel = array_predict_backward(lik0, initial.into_x0)
         log_l = lik.log_c - 0.5 * (lik.y_bar * lik.y_bar).sum(axis=-1)
         return GaussianMarginal(kernel.offset, kernel.noise_cov), log_l
 

@@ -107,11 +107,9 @@ def qr_upper(a):
     if a.size == 0:
         raise ValueError("A must not be empty")
     qr, tau, u, signs = _geqrf(a, m)
-    q = qr[:, :k]
-    if m > n:
-        q = np.empty((m, m), order="F")
-        q[:, :n] = qr
-    q = np.ascontiguousarray(_ORGQR(q, tau, lwork=q.shape[1] * _QR_NB, overwrite_a=1)[0])
+    q = np.empty((m, m), order="F")
+    q[:, :k] = qr[:, :k]
+    q = np.ascontiguousarray(_ORGQR(q, tau, lwork=m * _QR_NB, overwrite_a=1)[0])
     if signs is not None:
         q[:, :k] *= signs
     return q, u

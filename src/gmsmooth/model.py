@@ -110,7 +110,8 @@ class ObservationRecord:
 
 @dataclass
 class Proper:
-    """Proper Gaussian initial distribution N(mean, cov)."""
+    """Proper Gaussian initial distribution N(mean, cov): the transition into
+    x0 from a state nothing depends on (phi = 0), built on first read."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -120,9 +121,9 @@ class Proper:
         self.cov = np.asarray(self.cov, dtype=float)
 
     @cached_property
-    def chol(self):
-        """PSD triangular factor of cov, computed on first read."""
-        return linalg.psd_chol(self.cov)
+    def into_x0(self):
+        """Transition(0, mean, cov) into x0; its noise_chol is the prior's factor."""
+        return Transition(np.zeros_like(self.cov), self.mean, self.cov)
 
 
 class FlatOnSupport:
@@ -202,6 +203,7 @@ def validate(model):
     index, before any check that factors it; the transition noise, sensor
     noise and prior covariances all go through :func:`_check_cov`, whose
     PSD (PD) check computes the object's own factor for the recursion to reuse.
+    A prior of none of the three initial kinds is reported as unknown.
     """
     violations = []
     n, big_t = model.state_dim, model.horizon
@@ -258,7 +260,10 @@ def validate(model):
     if isinstance(model.initial, Proper):
         init = model.initial
         _check_array(init.mean, (n,), "initial mean", violations)
-        _check_cov(init.cov, lambda: init.chol, n, "initial covariance", "", violations)
+        _check_cov(init.cov, lambda: init.into_x0.noise_chol, n, "initial covariance", "",
+                   violations)
+    elif not isinstance(model.initial, (FlatOnSupport, FlatEverywhere)):
+        violations.append(f"unknown initial distribution {model.initial!r}")
     if n_present == 0:
         violations.append("model has no non-missing observation")
     return violations
@@ -304,7 +309,7 @@ def simulate_batch(model, seeds):
         used += factor.shape[1]
         return _gemv(factor, block)
 
-    x = model.initial.mean + noise(model.initial.chol)
+    x = model.initial.mean + noise(model.initial.into_x0.noise_chol)
     states = [x]
     observations = []
     for trans, sensor in zip(model.transitions, sensors, strict=True):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,12 @@ def gaussian_logpdf(x, mean, cov):
 
 
 def smoothing_oracle(model, initial=None):
-    """Per-time smoothing marginals from the dense oracle."""
-    joint = build_joint(model, initial)
+    """Per-time smoothing marginals from the dense oracle.
+
+    ``initial`` may supply a :class:`Proper` substitute for models with a
+    flat prior (e.g. flat-limit tests).
+    """
+    joint = build_joint(model if initial is None else replace(model, initial=initial))
     mean, cov, evidence = condition_joint(joint)
     n = model.state_dim
     marginals = [
@@ -62,7 +68,7 @@ def simulate_loop(model, seed):
         raise ValueError("simulation requires a proper initial distribution")
     rng = np.random.default_rng(seed)
     init = model.initial
-    x = init.mean + init.chol @ rng.standard_normal(model.state_dim)
+    x = init.mean + init.into_x0.noise_chol @ rng.standard_normal(model.state_dim)
     states = [x]
     observations = []
     for t in range(1, model.horizon + 1):

@@ -227,6 +227,22 @@ class TestValidate:
             "observation value at t=1 has shape (2, 2, 1), expected (1,) or (B, 1)"
         ]
 
+    @pytest.mark.parametrize("initial", [None, "proper", object()], ids=["none", "str", "object"])
+    def test_unknown_initial_distribution_reported(self, initial):
+        # smooth would raise a TypeError from fuse_initial on such a model
+        model = replace(tracking_json_models()[0], initial=initial)
+        assert validate(model) == [f"unknown initial distribution {initial!r}"]
+
+    @pytest.mark.parametrize(
+        "initial",
+        [Proper(np.zeros(6), np.eye(6)), FlatOnSupport(), FlatEverywhere()],
+        ids=["proper", "flat-on-support", "flat-everywhere"],
+    )
+    def test_known_initial_distributions_accepted(self, initial):
+        model = replace(tracking_json_models()[0], initial=initial)
+        assert validate(model) == []
+        smooth(model)
+
 
 class TestStepAccess:
     @pytest.mark.parametrize("t", [0, -1, 4])
@@ -320,6 +336,21 @@ class TestFactorsOnce:
             simulate_batch(model, [0, 1])
             counts.append((len(psd_calls), len(chol_calls)))
         assert counts == [(0, 0), (2, 5), (7, 5)]
+
+    def test_prior_factored_once_per_object(self, monkeypatch):
+        # validate reads the prior's factor through its transition into x0,
+        # which every smooth then reuses: one prior and 1 or 6 transitions
+        calls = []
+        monkeypatch.setattr(linalg, "psd_chol", lambda s: calls.append(s) or chol_lower(s))
+        counts = []
+        for model in tracking_json_models():
+            calls.clear()
+            assert validate(model) == []
+            smooth(model)
+            smooth(model, backward=sqrt_backward_pass(model))
+            simulate_batch(model, [0, 1])
+            counts.append(len(calls))
+        assert counts == [2, 7]
 
 
 class TestWienerAccelerationModel:
