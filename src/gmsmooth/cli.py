@@ -160,6 +160,8 @@ def run_demo(config):
         raise ValueError(f"unknown estimator {config.estimator!r}")
     if config.replications < 1:
         raise ValueError("replications must be at least 1")
+    if config.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {config.seed}")
 
     summary = {"replications": config.replications, "output": config.output_path}
     seeds = range(config.seed, config.seed + config.replications)

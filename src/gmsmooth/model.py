@@ -438,6 +438,8 @@ def model_to_dict(model):
                 f"observation value at t={t} holds {_batch_text(rec.value)}, "
                 "but a model file holds one sequence"
             )
+    if type(model.initial) not in _INITIAL_KINDS:
+        raise ValueError(f"unknown initial distribution {model.initial!r}")
     initial = {"kind": _INITIAL_KINDS[type(model.initial)]}
     if isinstance(model.initial, Proper):
         initial.update(mean=model.initial.mean.tolist(), cov=model.initial.cov.tolist())

@@ -1,5 +1,8 @@
 import csv
 import json
+import math
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -72,6 +75,17 @@ ILL_CONDITIONED_FLAT = {
     "observation_model": {"c": [[1.0, 0.0], [0.0, 1.0]], "noise_cov": [[1e-12, 0.0], [0.0, 1.0]]},
     "observations": [[0.0, 0.0]],
     "initial": {"kind": "flat_on_support"},
+}
+
+
+# README's two-step model file; its prior variance is set per test
+TWO_STEP = {
+    "state_dim": 1,
+    "horizon": 2,
+    "transitions": {"phi": [[1.0]], "offset": [0.0], "noise_cov": [[1.0]]},
+    "observation_model": {"c": [[1.0]], "noise_cov": [[1.0]]},
+    "observations": [[0.3], [0.5]],
+    "initial": {"kind": "proper", "mean": [0.0], "cov": [[1.0]]},
 }
 
 
@@ -239,9 +253,10 @@ class TestDemo:
                 ["--reference-initial-state", "nan", "0", "0", "0", "0", "0"],
                 "reference_initial_state must be 6 finite numbers, got [nan, 0.0",
             ),
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         ],
         ids=["nan-lambda1", "inf-lambda2", "nan-dt", "overflowing-dt", "overflowing-sigma1",
-             "nan-reference"],
+             "nan-reference", "negative-seed"],
     )
     def test_bad_argument_exits_2_naming_it(self, tmp_path, capsys, argv, message):
         out = tmp_path / "demo.csv"
@@ -345,6 +360,21 @@ class TestRunModelFile:
             with open(tmp_path / "out.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             npt.assert_allclose([float(row["var_0"]) for row in rows], [1e-12, 1e-12], rtol=1e-9)
+
+    @pytest.mark.parametrize("pipeline", ["smoother", "evidence"])
+    @pytest.mark.parametrize("s", [1e13, 1e16, 1e100, 1e300])
+    def test_diffuse_proper_prior_evidence(self, tmp_path, s, pipeline):
+        # x0 ~ N(0, s): y ~ N(0, [[s + 2, s + 1], [s + 1, s + 3]]), whose
+        # determinant is 3s + 5 and whose quadratic form at (0.3, 0.5) is
+        # (0.04 s + 0.47) / (3s + 5)
+        data = {**TWO_STEP, "initial": {"kind": "proper", "mean": [0.0], "cov": [[s]]}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        run_model_file(str(path), pipeline, str(tmp_path / "out"))
+        saved = json.loads((tmp_path / "out.json").read_text())
+        expected = (-math.log(2 * math.pi) - 0.5 * math.log(3 * s + 5)
+                    - 0.5 * (0.04 * s + 0.47) / (3 * s + 5))
+        npt.assert_allclose(saved["log_marginal_likelihood"], expected, rtol=0, atol=1e-9)
 
     def test_malformed_json_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -523,3 +553,13 @@ class TestRunModelFile:
             assert np.all(table[:, 1] <= 2)  # m_bar never exceeds n
         elif pipeline != "filter":
             npt.assert_allclose(table[:, 1:3], [m.mean for m in oracle], atol=1e-8)
+
+
+def test_package_import_loads_no_module():
+    # each name is imported from the module that defines it, so the package
+    # itself imports none of them
+    code = ("import sys, gmsmooth; "
+            "print(sorted(m for m in sys.modules if m.startswith('gmsmooth.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

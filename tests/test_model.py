@@ -507,6 +507,14 @@ class TestJsonRoundTrip:
             save_model(model, path)
         assert not path.exists()
 
+    def test_unknown_prior_not_saved(self, tmp_path):
+        model = replace(scalar_random_walk(values=[1.0, 2.0, 3.0]), initial=None)
+        assert validate(model) == ["unknown initial distribution None"]
+        path = tmp_path / "unknown.json"
+        with pytest.raises(ValueError, match="unknown initial distribution None"):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_stationary_shorthand(self):
         data = {
             "state_dim": 1,
