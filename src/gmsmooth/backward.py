@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import Transition
+from .model import Proper, Transition
 
 
 @dataclass
@@ -81,19 +81,7 @@ class LogQuadLikelihood:
 
 
 @dataclass
-class GaussianMarginal:
-    """Mean and covariance of one smoothing (or filtering) marginal."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = linalg.as_data(self.mean)
-        self.cov = np.asarray(self.cov, dtype=float)
-
-
-@dataclass
-class DegenerateGaussian(GaussianMarginal):
+class DegenerateGaussian(Proper):
     """Gaussian on mean + range(cov) read off a likelihood's ``c_bar``: c_bar' c_bar
     is its precision there, and rank and log pseudo-det ``logdet`` come from c_bar's SVD."""
 
@@ -140,20 +128,24 @@ def array_update(lik, mean, factor):
     noise, so a backward prediction folds in the transition noise (its mean
     and factor) by this one update. The upper triangular factor of the pre-array
 
-        [ I                 0   ]
         [ S' c_bar'         S'  ]
+        [ I                 0   ]
 
     holds, transposed, the innovation factor L (L L' = I + c_bar S S' c_bar'),
     the whitened gain K (K L^{-1} is the Kalman gain) and the posterior
     factor P (P P' = S S' - K K'). Returns (L, K, P, w) with the whitened
     residual w = L^{-1}(y_bar - c_bar mean), batched like ``y_bar``.
+
+    Row order leaves that factor unchanged in exact arithmetic; the heavy block
+    goes first and the zero block last, as Householder QR of a weighted problem
+    needs (Powell & Reid 1969; Cox & Higham 1998), else a wide S forms P by cancellation.
     """
     m_bar, n = lik.c_bar.shape
     st = factor.T
-    pre = np.zeros((m_bar + n, m_bar + n))
-    pre.flat[: m_bar * (m_bar + n + 1) : m_bar + n + 1] = 1.0  # I in the top left
-    pre[m_bar:, :m_bar] = st @ lik.c_bar.T
-    pre[m_bar:, m_bar:] = st
+    pre = np.zeros((n + m_bar, m_bar + n))
+    pre[:n, :m_bar] = st @ lik.c_bar.T
+    pre[:n, m_bar:] = st
+    pre.flat[n * (m_bar + n) :: m_bar + n + 1] = 1.0  # I in the bottom left
     post_array = linalg.qr_r(pre)
 
     innov_chol = post_array[:m_bar, :m_bar].T  # lower, positive diagonal

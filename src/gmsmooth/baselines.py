@@ -17,7 +17,6 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .forward import GaussianMarginal
 from .model import Proper
 
 
@@ -115,8 +114,8 @@ def condition_joint(joint):
 
 @dataclass
 class KalmanResult:
-    filtered: list[GaussianMarginal]  # t = 0..T
-    predicted: list[GaussianMarginal]  # t = 1..T
+    filtered: list[Proper]  # t = 0..T
+    predicted: list[Proper]  # t = 1..T
     log_likelihood: float
 
 
@@ -125,7 +124,7 @@ def kalman_filter(model):
     if not isinstance(model.initial, Proper):
         raise ValueError("the Kalman filter requires a proper initial distribution")
     mean, cov = model.initial.mean.copy(), model.initial.cov.copy()
-    filtered = [GaussianMarginal(mean, cov)]
+    filtered = [Proper(mean, cov)]
     predicted = []
     log_l = 0.0
     for t in range(1, model.horizon + 1):
@@ -133,14 +132,14 @@ def kalman_filter(model):
         mean = tr.phi @ mean + tr.offset
         cov = tr.phi @ cov @ tr.phi.T + tr.noise_cov
         cov = 0.5 * (cov + cov.T)
-        predicted.append(GaussianMarginal(mean, cov))
+        predicted.append(Proper(mean, cov))
         rec = model.observation(t)
         if not rec.is_missing:
             mean, cov, log_h = _condition(
                 mean, cov, rec.model.c, rec.model.noise_cov, rec.value
             )
             log_l += log_h
-        filtered.append(GaussianMarginal(mean, cov))
+        filtered.append(Proper(mean, cov))
     return KalmanResult(filtered, predicted, log_l)
 
 
@@ -152,9 +151,7 @@ def rts_smoother(kalman, model):
     """
     big_t = model.horizon
     smoothed = [None] * (big_t + 1)
-    smoothed[big_t] = GaussianMarginal(
-        kalman.filtered[big_t].mean.copy(), kalman.filtered[big_t].cov.copy()
-    )
+    smoothed[big_t] = kalman.filtered[big_t]  # at T the smoothed marginal is the filtered one
     for t in range(big_t, 0, -1):
         tr = model.transition(t)
         filt = kalman.filtered[t - 1]
@@ -164,7 +161,7 @@ def rts_smoother(kalman, model):
         nxt = smoothed[t]
         mean = filt.mean + gain @ (nxt.mean - pred.mean)
         cov = filt.cov + gain @ (nxt.cov - pred.cov) @ gain.T
-        smoothed[t - 1] = GaussianMarginal(mean, 0.5 * (cov + cov.T))
+        smoothed[t - 1] = Proper(mean, 0.5 * (cov + cov.T))
     return smoothed
 
 
@@ -175,12 +172,12 @@ def two_filter_combine(filter_marginal, future_lik):
     empty likelihood leaves the marginal unchanged.
     """
     if future_lik.is_empty:
-        return GaussianMarginal(filter_marginal.mean.copy(), filter_marginal.cov.copy())
+        return Proper(filter_marginal.mean.copy(), filter_marginal.cov.copy())
     c_bar, y_bar = future_lik.c_bar, future_lik.y_bar
     mean, cov, _ = _condition(
         filter_marginal.mean, filter_marginal.cov, c_bar, np.eye(future_lik.m_bar), y_bar
     )
-    return GaussianMarginal(mean, cov)
+    return Proper(mean, cov)
 
 
 def stacked_observation_map(model, t, include_current=True):

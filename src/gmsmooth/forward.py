@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .backward import (
-    DegenerateGaussian,
-    GaussianMarginal,
-    backward_pass,
-    likelihood_moments,
-)
+from .backward import DegenerateGaussian, backward_pass, likelihood_moments
 from .linalg import LOG_2PI
 from .model import FlatEverywhere, FlatOnSupport, Proper
 from .sqrt import array_predict_backward
@@ -32,7 +27,7 @@ _LEAK_TOL = 1e-6  # off-support distance, relative to 1 + |x - mean|, beyond rou
 class SmoothingResult:
     """Smoothing marginals t = 0..T plus the path-posterior transition kernels."""
 
-    marginals: list[GaussianMarginal]
+    marginals: list[Proper]
     transitions: list
     log_marginal_likelihood: float
 
@@ -60,7 +55,7 @@ def fuse_initial(lik0, initial):
     if isinstance(initial, Proper):
         lik, kernel = array_predict_backward(lik0, initial.into_x0)
         log_l = lik.log_c - 0.5 * (lik.y_bar * lik.y_bar).sum(axis=-1)
-        return GaussianMarginal(kernel.offset, kernel.noise_cov), log_l
+        return Proper(kernel.offset, kernel.noise_cov), log_l
 
     moments = likelihood_moments(lik0)
     if isinstance(initial, FlatOnSupport):  # log h(mean): data off c_bar's range lowers it
@@ -79,7 +74,7 @@ def propagate_marginals(posterior0, transitions, log_marginal_likelihood=math.na
         prev = marginals[-1]
         mean = prev.mean @ trans.phi.T + trans.offset
         cov = trans.phi @ prev.cov @ trans.phi.T + trans.noise_cov
-        marginals.append(GaussianMarginal(mean, 0.5 * (cov + cov.T)))
+        marginals.append(Proper(mean, 0.5 * (cov + cov.T)))
     return SmoothingResult(marginals, list(transitions), log_marginal_likelihood)
 
 
@@ -136,5 +131,5 @@ def log_path_posterior(result, path):
     total = _degenerate_logpdf(path[0], first)
     for t, trans in enumerate(result.transitions, start=1):
         mean = trans.phi @ path[t - 1] + trans.offset
-        total += _degenerate_logpdf(path[t], GaussianMarginal(mean, trans.noise_cov))
+        total += _degenerate_logpdf(path[t], Proper(mean, trans.noise_cov))
     return total

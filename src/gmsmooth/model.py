@@ -110,14 +110,15 @@ class ObservationRecord:
 
 @dataclass
 class Proper:
-    """Proper Gaussian initial distribution N(mean, cov): the transition into
-    x0 from a state nothing depends on (phi = 0), built on first read."""
+    """N(mean, cov), the one Gaussian type: a prior, any marginal (a batch's has a
+    ``(B, n)`` mean), a kernel's density at one step. As a prior it is the transition
+    into x0 from a state nothing depends on (phi = 0), built on first read."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).ravel()
+        self.mean = linalg.as_data(self.mean)
         self.cov = np.asarray(self.cov, dtype=float)
 
     @cached_property
@@ -438,9 +439,10 @@ def model_to_dict(model):
                 f"observation value at t={t} holds {_batch_text(rec.value)}, "
                 "but a model file holds one sequence"
             )
-    if type(model.initial) not in _INITIAL_KINDS:
+    kind = next((k for cls, k in _INITIAL_KINDS.items() if isinstance(model.initial, cls)), None)
+    if kind is None:
         raise ValueError(f"unknown initial distribution {model.initial!r}")
-    initial = {"kind": _INITIAL_KINDS[type(model.initial)]}
+    initial = {"kind": kind}
     if isinstance(model.initial, Proper):
         initial.update(mean=model.initial.mean.tolist(), cov=model.initial.cov.tolist())
     return {
@@ -573,8 +575,10 @@ def model_from_dict(data):
     cls = next((cls for cls, name in _INITIAL_KINDS.items() if name == kind), None)
     if cls is None:
         raise ValueError(f"unknown initial distribution kind {kind!r}")
-    initial = Proper(*_arrays(init, ("mean", "cov"), "initial")) if cls is Proper else cls()
-    return GaussMarkovModel(n, big_t, transitions, records, initial)
+    if cls is not Proper:
+        return GaussMarkovModel(n, big_t, transitions, records, cls())
+    mean, cov = _arrays(init, ("mean", "cov"), "initial")  # a mean is one vector, as offsets are
+    return GaussMarkovModel(n, big_t, transitions, records, Proper(np.ravel(mean), cov))
 
 
 def load_model(path):

@@ -5,7 +5,6 @@ import pytest
 
 from gmsmooth.backward import backward_pass, likelihood_moments
 from gmsmooth.baselines import build_joint, condition_joint
-from gmsmooth.forward import GaussianMarginal
 from gmsmooth.linalg import LOG_2PI, chol_lower, log_diag, solve_triangular
 from gmsmooth.model import (
     GaussMarkovModel,
@@ -38,7 +37,7 @@ def smoothing_oracle(model, initial=None):
     mean, cov, evidence = condition_joint(joint)
     n = model.state_dim
     marginals = [
-        GaussianMarginal(mean[t * n : (t + 1) * n], cov[t * n : (t + 1) * n, t * n : (t + 1) * n])
+        Proper(mean[t * n : (t + 1) * n], cov[t * n : (t + 1) * n, t * n : (t + 1) * n])
         for t in range(model.horizon + 1)
     ]
     return marginals, cov, evidence

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,9 +15,9 @@ from gmsmooth.baselines import (
     stacked_observation_map,
     two_filter_combine,
 )
-from gmsmooth.forward import GaussianMarginal, smooth
+from gmsmooth.forward import smooth
 from gmsmooth.linalg import pseudo_inverse, solve_triangular, chol_lower
-from gmsmooth.model import FlatEverywhere, ObservationRecord
+from gmsmooth.model import FlatEverywhere, ObservationRecord, Proper
 
 from conftest import gaussian_logpdf, random_model, smoothing_oracle, stacked_mle
 from test_model import scalar_random_walk
@@ -139,13 +142,13 @@ class TestRtsSmoother:
 
 class TestTwoFilterCombine:
     def test_empty_future(self):
-        marg = GaussianMarginal([1.0], [[2.0]])
+        marg = Proper([1.0], [[2.0]])
         out = two_filter_combine(marg, LogQuadLikelihood.empty(1))
         npt.assert_array_equal(out.mean, marg.mean)
         npt.assert_array_equal(out.cov, marg.cov)
 
     def test_scalar_hand_update(self):
-        marg = GaussianMarginal([0.0], [[1.0]])
+        marg = Proper([0.0], [[1.0]])
         lik = LogQuadLikelihood(0.0, [2.0], [[1.0]])
         out = two_filter_combine(marg, lik)
         npt.assert_allclose(out.mean, [1.0])
@@ -240,3 +243,12 @@ class TestFutureLikelihoodOracle:
         model = random_model(rng, horizon=3)
         out = future_likelihood_oracle(model, 3, np.zeros(model.state_dim), include_current=False)
         assert out == 0.0
+
+
+def test_references_load_no_recursion_module():
+    # the references share no code with the recursion they check
+    code = ("import sys, gmsmooth.baselines; "
+            "print(sorted(m for m in sys.modules if m.startswith('gmsmooth.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "['gmsmooth.baselines', 'gmsmooth.linalg', 'gmsmooth.model']"

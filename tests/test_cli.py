@@ -376,6 +376,18 @@ class TestRunModelFile:
                     - 0.5 * (0.04 * s + 0.47) / (3 * s + 5))
         npt.assert_allclose(saved["log_marginal_likelihood"], expected, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("s", [1e12, 1e20, 1e30, 1e60, 1e100, 1e300])
+    def test_diffuse_proper_prior_x0_variance(self, tmp_path, s):
+        # the x0 posterior precision is 1/s + 0.6 (the data's precision on x0);
+        # a pre-array with its unit rows first loses the variance as sqrt(s) eps
+        data = {**TWO_STEP, "initial": {"kind": "proper", "mean": [0.0], "cov": [[s]]}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        run_model_file(str(path), "smoother", str(tmp_path / "out"))
+        with open(tmp_path / "out.csv", newline="") as fh:
+            row0 = next(csv.DictReader(fh))
+        npt.assert_allclose(float(row0["var_0"]), 1 / (1 / s + 0.6), rtol=1e-12, atol=0)
+
     def test_malformed_json_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gmsmooth.backward import LogQuadLikelihood, backward_pass
+from gmsmooth.backward import DegenerateGaussian, LogQuadLikelihood, backward_pass
+from gmsmooth.baselines import build_joint, condition_joint
 from gmsmooth.forward import (
     fuse_initial,
     log_path_posterior,
@@ -12,7 +13,14 @@ from gmsmooth.forward import (
     smooth,
 )
 from gmsmooth.linalg import LOG_2PI, RTOL
-from gmsmooth.model import FlatEverywhere, FlatOnSupport, Proper
+from gmsmooth.model import (
+    FlatEverywhere,
+    FlatOnSupport,
+    GaussMarkovModel,
+    ObservationRecord,
+    Proper,
+    simulate_batch,
+)
 
 from conftest import gaussian_logpdf, random_model, smoothing_oracle
 from test_model import scalar_random_walk
@@ -101,18 +109,15 @@ class TestFuseInitial:
 
 class TestPropagateMarginals:
     def test_no_transitions(self):
-        from gmsmooth.forward import GaussianMarginal
-
-        post0 = GaussianMarginal([1.0], [[2.0]])
+        post0 = Proper([1.0], [[2.0]])
         result = propagate_marginals(post0, [])
         assert len(result.marginals) == 1
         assert result.marginals[0] is post0
 
     def test_identity_kernels(self, rng):
         from gmsmooth.model import Transition
-        from gmsmooth.forward import GaussianMarginal
 
-        post0 = GaussianMarginal(rng.standard_normal(2), np.eye(2))
+        post0 = Proper(rng.standard_normal(2), np.eye(2))
         kernels = [
             Transition(np.eye(2), np.zeros(2), np.zeros((2, 2)))
             for _ in range(4)
@@ -144,9 +149,7 @@ class TestPropagateMarginals:
 
 class TestLogPathPosterior:
     def test_horizon_zero_proper(self):
-        from gmsmooth.forward import GaussianMarginal
-
-        post0 = GaussianMarginal([1.0], [[2.0]])
+        post0 = Proper([1.0], [[2.0]])
         result = propagate_marginals(post0, [])
         x0 = np.array([0.3])
         npt.assert_allclose(
@@ -158,8 +161,6 @@ class TestLogPathPosterior:
         rng = np.random.default_rng(seed)
         model = random_model(rng, zero_q_frac=0.0, singular_phi_frac=0.2)
         result = smooth(model)
-        from gmsmooth.baselines import build_joint, condition_joint
-
         mean, cov, evidence = condition_joint(build_joint(model))
         n = model.state_dim
         for _ in range(10):
@@ -170,8 +171,6 @@ class TestLogPathPosterior:
             npt.assert_allclose(got, expected, atol=1e-7)
 
     def test_off_support_point_rejected(self):
-        from gmsmooth.backward import DegenerateGaussian
-
         post0 = DegenerateGaussian([0.0, 0.0], np.diag([1.0, 0.0]), 1, 0.0, np.eye(1, 2))
         result = propagate_marginals(post0, [])
         with pytest.raises(ValueError, match="off the support"):
@@ -237,6 +236,49 @@ class TestLogPathPosterior:
                         rec.value, rec.model.c @ path[t], rec.model.noise_cov
                     )
             npt.assert_allclose(lhs, rhs, atol=1e-7)
+
+
+def _z_max(samples, mean, cov):
+    """Largest |z| of the sample mean over the components whose variance is above
+    1e-12 of the largest; the rest are constant up to rounding."""
+    var = cov.diagonal()
+    keep = var > 1e-12 * var.max(initial=0.0)
+    z = (samples.mean(axis=0) - mean)[keep] / np.sqrt(var[keep] / len(samples))
+    return np.abs(z).max(initial=0.0)
+
+
+class TestPosteriorPathDraws:
+    """The path posterior is a model in the prior's own types: no sensor, the x0
+    posterior as initial distribution and the smoothing kernels as transitions,
+    so ``simulate_batch`` draws whole posterior paths from it as it stands."""
+
+    DRAWS = 4000
+
+    @staticmethod
+    def posterior_model(model, result):
+        records = [ObservationRecord(t) for t in range(1, model.horizon + 1)]
+        return GaussMarkovModel(
+            model.state_dim, model.horizon, result.transitions, records, result.marginals[0]
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_proper_prior_whole_path(self, seed):
+        model = random_model(np.random.default_rng(seed))
+        post = self.posterior_model(model, smooth(model))
+        paths = simulate_batch(post, range(self.DRAWS))[0].reshape(self.DRAWS, -1)
+        mean, cov, _ = condition_joint(build_joint(model))
+        assert _z_max(paths, mean, cov) <= 4.5
+        assert np.abs(np.cov(paths.T) - cov).max() <= 0.1 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_on_support_marginals(self, seed):
+        model = random_model(np.random.default_rng(seed), initial=FlatOnSupport())
+        result = smooth(model)
+        post = self.posterior_model(model, result)
+        assert isinstance(post.initial, DegenerateGaussian)  # factored by psd_chol's eigh
+        states = simulate_batch(post, range(self.DRAWS))[0]
+        for t, marg in enumerate(result.marginals):
+            assert _z_max(states[:, t], marg.mean, marg.cov) <= 4.5, t
 
 
 class TestFlatPriorLimit:

@@ -19,6 +19,7 @@ from gmsmooth.model import (
     Proper,
     Transition,
     attach_observations,
+    load_model,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -85,6 +86,12 @@ class TestValidate:
         model = scalar_random_walk(values=[1.0, 2.0, 3.0])
         model.transitions[1] = Transition([[1.0]], np.zeros((2, 1)), [[1.0]])
         assert validate(model) == ["transition offset at t=2 has shape (2, 1)"]
+
+    def test_batched_prior_mean_rejected(self):
+        # Proper keeps a (B, n) mean, as a batch's marginals have; a prior's is one vector
+        model = scalar_random_walk(values=[1.0, 2.0, 3.0])
+        model.initial = Proper(np.zeros((2, 1)), [[1.0]])
+        assert validate(model) == ["initial mean has shape (2, 1)"]
 
     def test_no_observations(self):
         model = scalar_random_walk()
@@ -604,6 +611,27 @@ class TestJsonRoundTrip:
         model = model_from_dict(data)
         npt.assert_array_equal(model.transition(2).offset, [0.5])
         assert validate(model) == []
+
+    def test_nested_mean_read_as_vector(self):
+        data = model_to_dict(scalar_random_walk(values=[1.0, 2.0, 3.0]))
+        data["initial"]["mean"] = [[0.5]]
+        model = model_from_dict(data)
+        npt.assert_array_equal(model.initial.mean, [0.5])
+        assert validate(model) == []
+
+    @pytest.mark.parametrize("initial", ["proper", FlatOnSupport()], ids=["proper", "flat"])
+    def test_smoothing_marginal_saved_as_proper(self, tmp_path, initial):
+        # the x0 posterior, a DegenerateGaussian under the flat prior, is a Proper
+        model = random_model(np.random.default_rng(3), initial=initial)
+        posterior0 = smooth(model).marginals[0]
+        path = tmp_path / "posterior-prior.json"
+        save_model(replace(model, initial=posterior0), path)
+        assert json.loads(path.read_text())["initial"]["kind"] == "proper"
+        rebuilt = load_model(path)
+        assert type(rebuilt.initial) is Proper
+        npt.assert_array_equal(rebuilt.initial.mean, posterior0.mean)
+        npt.assert_array_equal(rebuilt.initial.cov, posterior0.cov)
+        assert validate(rebuilt) == []
 
     def test_unknown_initial_kind(self):
         with pytest.raises(ValueError, match="unknown initial"):

@@ -7,7 +7,7 @@ import pytest
 from gmsmooth import linalg
 from gmsmooth.backward import LogQuadLikelihood, backward_pass, predict_backward
 from gmsmooth.baselines import future_likelihood_oracle, two_filter_combine
-from gmsmooth.forward import GaussianMarginal, fuse_initial, smooth
+from gmsmooth.forward import fuse_initial, smooth
 from gmsmooth.linalg import LOG_2PI, chol_lower
 from gmsmooth.model import (
     GaussMarkovModel,
@@ -141,7 +141,7 @@ class TestSqrtFuseInitial:
         post, log_l = fuse_initial(lik0, prior)
         # the covariance-form (plain) fusion: a Kalman update against the
         # pseudo-observation, and its evidence
-        expected = two_filter_combine(GaussianMarginal(prior.mean, prior.cov), lik0)
+        expected = two_filter_combine(Proper(prior.mean, prior.cov), lik0)
         c_bar = lik0.c_bar
         evidence = (
             gaussian_logpdf(
